@@ -470,7 +470,49 @@ fn sigkill(pid: i32) -> Result<(), String> {
 mod socket {
     use super::{LoadConn, Outcome};
     use ghr_types::{wire, Endpoint, Stream};
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, Write};
+
+    /// Read one whole response frame (header, exact body bytes, `ghr-end`)
+    /// and classify it. A body claim past [`wire::MAX_FRAME_BODY`] is an
+    /// error before anything is allocated for it.
+    pub(super) fn read_frame(reader: &mut impl BufRead) -> Outcome {
+        let Some(header) = read_line(reader) else {
+            return Outcome::Error;
+        };
+        if let Some(reason) = header.strip_prefix(wire::ERROR_PREFIX) {
+            let outcome = if reason == wire::REASON_OVERLOAD {
+                Outcome::Overload
+            } else {
+                Outcome::Error
+            };
+            // Error frames are body-less: just the trailer.
+            return match read_line(reader) {
+                Some(end) if end == wire::FRAME_END => outcome,
+                _ => Outcome::Error,
+            };
+        }
+        let Ok(bytes) = wire::body_len(&header) else {
+            return Outcome::Error;
+        };
+        let mut body = vec![0u8; bytes];
+        if reader.read_exact(&mut body).is_err() {
+            return Outcome::Error;
+        }
+        match read_line(reader) {
+            Some(end) if end == wire::FRAME_END && header.contains(" status=ok ") => Outcome::Ok,
+            _ => Outcome::Error,
+        }
+    }
+
+    /// One `\n`-terminated line without its newline; `None` at EOF or on
+    /// a read error.
+    fn read_line(reader: &mut impl BufRead) -> Option<String> {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => None,
+            Ok(_) => Some(line.trim_end_matches('\n').to_string()),
+        }
+    }
 
     /// One persistent connection to a serve/router endpoint (unix or
     /// TCP): writes request lines, reads response frames whole (header,
@@ -495,51 +537,6 @@ mod socket {
                 catalog,
             })
         }
-
-        fn read_line(&mut self) -> Result<String, ()> {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => Err(()),
-                Ok(_) => Ok(line.trim_end_matches('\n').to_string()),
-            }
-        }
-
-        /// Read one whole frame after the request was sent.
-        fn read_frame(&mut self) -> Outcome {
-            let header = match self.read_line() {
-                Ok(h) => h,
-                Err(()) => return Outcome::Error,
-            };
-            if let Some(reason) = header.strip_prefix(wire::ERROR_PREFIX) {
-                let outcome = if reason == wire::REASON_OVERLOAD {
-                    Outcome::Overload
-                } else {
-                    Outcome::Error
-                };
-                // Error frames are body-less: just the trailer.
-                return match self.read_line() {
-                    Ok(end) if end == wire::FRAME_END => outcome,
-                    _ => Outcome::Error,
-                };
-            }
-            let Some(bytes) = header
-                .split(" bytes=")
-                .nth(1)
-                .and_then(|rest| rest.split_whitespace().next())
-                .and_then(|n| n.parse::<usize>().ok())
-            else {
-                return Outcome::Error;
-            };
-            let mut body = vec![0u8; bytes];
-            if self.reader.read_exact(&mut body).is_err() {
-                return Outcome::Error;
-            }
-            match self.read_line() {
-                Ok(end) if end == wire::FRAME_END && header.contains(" status=ok ") => Outcome::Ok,
-                Ok(_) => Outcome::Error,
-                Err(()) => Outcome::Error,
-            }
-        }
     }
 
     impl LoadConn for SocketConn<'_> {
@@ -553,7 +550,7 @@ mod socket {
             {
                 return Outcome::Error;
             }
-            self.read_frame()
+            read_frame(&mut self.reader)
         }
     }
 }
@@ -731,5 +728,35 @@ mod tests {
         )
         .unwrap();
         assert!(!out.contains("wrote "), "{out}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn frame_reader_classifies_frames_and_caps_the_body_claim() {
+        use socket::read_frame;
+        let read = |bytes: &[u8]| read_frame(&mut std::io::Cursor::new(bytes));
+        let ok =
+            b"ghr-response id=0123456789abcdef status=ok bytes=3 evals=0 cached=yes\nok\nghr-end\n";
+        assert_eq!(read(ok), Outcome::Ok);
+        assert_eq!(
+            read(b"ghr-error reason=overload\nghr-end\n"),
+            Outcome::Overload
+        );
+        assert_eq!(
+            read(b"ghr-error reason=nul-byte\nghr-end\n"),
+            Outcome::Error
+        );
+        assert_eq!(read(&ok[..ok.len() - 4]), Outcome::Error, "torn trailer");
+        // A server claiming ~10 GB of body is answered as an error before
+        // any of it is allocated or read.
+        let header =
+            "ghr-response id=0123456789abcdef status=ok bytes=9999999999 evals=0 cached=yes\n";
+        let mut absurd = std::io::Cursor::new(format!("{header}ok\nghr-end\n").into_bytes());
+        assert_eq!(read_frame(&mut absurd), Outcome::Error);
+        assert_eq!(
+            absurd.position(),
+            header.len() as u64,
+            "body bytes were read"
+        );
     }
 }

@@ -18,11 +18,24 @@
 //! body.
 //!
 //! Sessions are *pipelined*: a client may write up to `--pipeline K`
-//! request lines (default 8) without waiting for responses. The router
-//! forwards them concurrently and streams the response frames back in
-//! arrival order, so a burst over one connection overlaps worker time
-//! instead of serializing on round trips. `--pipeline 1` restores
-//! strict lockstep.
+//! request lines (default 8) without waiting for responses. The thread
+//! that reads a client session also forwards its lines: it routes each
+//! one and writes it on the connection the session holds to its owner
+//! (one connection per worker, opened on first use), writes every line
+//! the client has already sent before it reads any frame back, and
+//! relays the frames in arrival order. Lines for different workers
+//! therefore overlap, while lines for one worker queue on its
+//! connection and that worker's session answers them in order — so a
+//! burst never opens more connections to a worker than the router has
+//! sessions. `--pipeline 1` restores strict lockstep.
+//!
+//! Because every router session may hold a connection to every worker,
+//! and a worker gives each connection a session slot for its whole
+//! life, a worker needs at least as many `--sessions` as the router
+//! has sessions. Spawned workers get exactly that; an attached worker
+//! must be started with it, or the router's extra connections park in
+//! its listen backlog until the 60 s worker read timeout declares the
+//! worker dead.
 //!
 //! Membership is *dynamic*: a `ghr-join <endpoint>` control frame
 //! attaches a new worker at runtime, and a worker dead past
@@ -189,8 +202,9 @@ pub struct RouterOptions {
     /// (`--attach-tcp HOST:PORT`, repeatable) — the cross-host leg.
     pub attach_tcp: Vec<String>,
     /// Concurrent router sessions; `0` resolves `GHR_SESSIONS`, then
-    /// twice the worker count. Spawned workers get the same session cap
-    /// so every router session can hold a connection to one worker.
+    /// twice the worker count. Spawned workers get the same session cap,
+    /// since every router session may hold one connection to each
+    /// worker; attached workers need at least this many `--sessions`.
     pub sessions: usize,
     /// Per-worker in-flight budget; past it arrivals for that worker get
     /// `ghr-error reason=overload` immediately. `None` admits everything.
@@ -394,11 +408,12 @@ pub fn run_router(_opts: &RouterOptions) -> Result<String, String> {
 mod socket {
     use super::{HashRing, RouterOptions};
     use crate::serve::{self, sig, Admission, RawRead};
-    use ghr_types::{wire, Endpoint, RequestId, RouterStats, RouterWorkerStats};
+    use ghr_types::{wire, Endpoint, RequestId, RouterStats, RouterWorkerStats, Stream};
+    use std::collections::VecDeque;
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Child, Command, Stdio};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+    use std::sync::{Arc, Mutex, PoisonError, RwLock};
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
@@ -410,50 +425,19 @@ mod socket {
     const PROBE_TICK: Duration = Duration::from_millis(200);
     /// How long a spawned worker gets to bind its socket.
     const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
-    /// Largest body a worker frame header may claim. A worker is
-    /// trusted more than a client, but a corrupt or malicious peer
-    /// saying `bytes=18446744073709551615` must not make the router
-    /// allocate it; past the cap the connection is declared broken and
-    /// the request re-routes.
-    const MAX_WORKER_FRAME: usize = 16 << 20;
     /// Hard deadline on any single read from a worker connection. A
     /// killed worker closes its socket (EOF, instant), but a worker
-    /// that *accepted* the connect and then never serves it — e.g. one
-    /// at its own `--sessions` cap, with the connect sitting in its
-    /// listen backlog — would wedge the forward forever without this.
-    /// Generous because a cold evaluation legitimately takes a while;
-    /// on expiry the connection is declared broken and the request
-    /// re-routes like any other worker fault.
+    /// that *accepted* the connect and then never serves it would wedge
+    /// the session forever without this. That is a worker at its own
+    /// `--sessions` cap, with the connect parked in its listen backlog:
+    /// every router session holds one connection per worker, so an
+    /// attached worker started with fewer `--sessions` than the router
+    /// has sessions parks the extra ones (spawned workers get the
+    /// router's session count and never do). Generous because a cold
+    /// evaluation legitimately takes a while; on expiry the connection
+    /// is declared broken and its lines re-route like any other worker
+    /// fault.
     const WORKER_READ_TIMEOUT: Duration = Duration::from_secs(60);
-
-    /// One pooled worker connection: the write half plus a buffered
-    /// reader over its clone. Reads are bounded by
-    /// [`WORKER_READ_TIMEOUT`] — a killed worker closes the socket
-    /// (EOF) and an unresponsive one times out; neither wedges a read.
-    struct Conn {
-        writer: ghr_types::Stream,
-        reader: BufReader<ghr_types::Stream>,
-    }
-
-    impl Conn {
-        fn open(endpoint: &Endpoint) -> std::io::Result<Conn> {
-            let writer = endpoint.connect()?;
-            let reader_half = writer.try_clone()?;
-            reader_half.set_read_timeout(Some(WORKER_READ_TIMEOUT))?;
-            Ok(Conn {
-                writer,
-                reader: BufReader::new(reader_half),
-            })
-        }
-
-        /// Send one request line and read back the whole response frame.
-        fn exchange(&mut self, line: &str) -> std::io::Result<Vec<u8>> {
-            self.writer.write_all(line.as_bytes())?;
-            self.writer.write_all(b"\n")?;
-            self.writer.flush()?;
-            read_frame(&mut self.reader)
-        }
-    }
 
     /// Read one complete `ghr-response`/`ghr-error` frame as raw bytes,
     /// exactly as the worker wrote them (byte-identical pass-through).
@@ -468,20 +452,10 @@ mod socket {
         }
         let header = std::str::from_utf8(&frame)
             .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 frame header"))?
-            .trim_end()
-            .to_string();
-        if let Some(rest) = header.strip_prefix(wire::RESPONSE_PREFIX) {
-            let bytes = rest
-                .split_whitespace()
-                .find_map(|t| t.strip_prefix("bytes="))
-                .and_then(|v| v.parse::<usize>().ok())
-                .ok_or_else(|| Error::new(ErrorKind::InvalidData, "frame header without bytes="))?;
-            if bytes > MAX_WORKER_FRAME {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!("frame header claims {bytes} body bytes (cap {MAX_WORKER_FRAME})"),
-                ));
-            }
+            .trim_end();
+        if header.starts_with(wire::RESPONSE_PREFIX) {
+            let bytes =
+                wire::body_len(header).map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
             let mark = frame.len();
             frame.resize(mark + bytes, 0);
             reader.read_exact(&mut frame[mark..])?;
@@ -509,8 +483,8 @@ mod socket {
     }
 
     /// One worker as the router sees it: where it lives, whether it is
-    /// alive, its forwarding counters, in-flight budget, and connection
-    /// pool. The child handle is `Some` only for spawned workers.
+    /// alive, its forwarding counters and in-flight budget. The child
+    /// handle is `Some` only for spawned workers.
     struct Worker {
         name: String,
         endpoint: Endpoint,
@@ -525,7 +499,6 @@ mod socket {
         rejected: AtomicU64,
         rerouted: AtomicU64,
         admission: Option<Admission>,
-        pool: Mutex<Vec<Conn>>,
     }
 
     impl Worker {
@@ -546,7 +519,6 @@ mod socket {
                 rejected: AtomicU64::new(0),
                 rerouted: AtomicU64::new(0),
                 admission: inflight.map(Admission::new),
-                pool: Mutex::new(Vec::new()),
             }
         }
 
@@ -577,49 +549,31 @@ mod socket {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = None;
         }
+    }
 
-        /// Forward one line and return the whole response frame. A
-        /// pooled connection that fails may just be stale, so one fresh
-        /// connection is tried before the worker is declared dead.
-        fn forward(&self, line: &str) -> Result<Vec<u8>, String> {
-            if let Some(mut conn) = self.checkout() {
-                if let Ok(frame) = conn.exchange(line) {
-                    self.checkin(conn);
-                    return Ok(frame);
-                }
+    /// A worker's `--worker-inflight` slot, held from the write of a
+    /// line until its frame is read or the line moves to another worker.
+    struct Permit(Arc<Worker>);
+
+    impl Permit {
+        /// Take one of `worker`'s slots: `Ok(None)` when it has no
+        /// budget, `Err(())` when the budget is spent.
+        fn take(worker: &Arc<Worker>) -> Result<Option<Permit>, ()> {
+            let Some(admission) = &worker.admission else {
+                return Ok(None);
+            };
+            // The slot outlives this borrow of the budget, so the
+            // permit is forgotten and `Drop` below gives the slot back.
+            std::mem::forget(admission.try_admit().ok_or(())?);
+            Ok(Some(Permit(Arc::clone(worker))))
+        }
+    }
+
+    impl Drop for Permit {
+        fn drop(&mut self) {
+            if let Some(admission) = &self.0.admission {
+                admission.release();
             }
-            let mut conn = Conn::open(&self.endpoint)
-                .map_err(|e| format!("connect to {}: {e}", self.endpoint))?;
-            match conn.exchange(line) {
-                Ok(frame) => {
-                    self.checkin(conn);
-                    Ok(frame)
-                }
-                Err(e) => Err(e.to_string()),
-            }
-        }
-
-        fn checkout(&self) -> Option<Conn> {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop()
-        }
-
-        fn checkin(&self, conn: Conn) {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(conn);
-        }
-
-        /// Drop every pooled connection (their worker sessions drain on
-        /// EOF).
-        fn drain_pool(&self) {
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
         }
     }
 
@@ -691,68 +645,6 @@ mod socket {
         }
     }
 
-    /// Route one request line and return the whole response frame: pick
-    /// the owner on the ring, apply its in-flight budget, forward. A
-    /// forward failure marks the worker dead and walks to the ring
-    /// successor; only a fully dead ring surfaces an error frame.
-    fn route_frame(router: &Router, session: u64, line: &str) -> Vec<u8> {
-        let key = super::route_key(line);
-        loop {
-            let worker = {
-                let members = router.read_members();
-                let alive: Vec<bool> = members.workers.iter().map(|w| w.routable()).collect();
-                match members.ring.route(key, &alive) {
-                    Some(w) => Arc::clone(&members.workers[w]),
-                    None => {
-                        router.unrouted.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("router[{session}]: {line} -> no live worker (id={key:016x})");
-                        return wire::error_frame(wire::REASON_NO_WORKER).into_bytes();
-                    }
-                }
-            };
-            // The budget is per-worker and the decision is final: the
-            // id's home worker is the only one whose caches are warm
-            // for it, so spilling to a sibling would trade an explicit
-            // overload for a silent cold evaluation.
-            let permit = match worker.admission.as_ref().map(Admission::try_admit) {
-                Some(None) => {
-                    worker.rejected.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "router[{session}]: {line} -> {} rejected (overload)",
-                        worker.name
-                    );
-                    return wire::error_frame(wire::REASON_OVERLOAD).into_bytes();
-                }
-                Some(permit @ Some(_)) => permit,
-                None => None,
-            };
-            let t0 = Instant::now();
-            let result = worker.forward(line);
-            drop(permit);
-            match result {
-                Ok(frame) => {
-                    worker.forwarded.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "router[{session}]: {line} -> {} id={key:016x} ({} bytes, {:.1} ms)",
-                        worker.name,
-                        frame.len(),
-                        t0.elapsed().as_secs_f64() * 1000.0
-                    );
-                    return frame;
-                }
-                Err(e) => {
-                    worker.mark_dead();
-                    worker.rerouted.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "router[{session}]: {} failed ({e}); re-routing id={key:016x} \
-                         to the ring successor",
-                        worker.name
-                    );
-                }
-            }
-        }
-    }
-
     /// Handle a `ghr-join <endpoint>` control frame: probe the
     /// endpoint, admit it (or re-admit a known one), rebuild the ring.
     /// Answers a normal response frame describing the rebalance, or
@@ -817,200 +709,363 @@ mod socket {
         .into_bytes()
     }
 
-    /// A counting semaphore bounding in-flight forwards per session
-    /// (the pipeline depth).
-    struct Gate {
-        max: usize,
-        n: Mutex<usize>,
-        cv: Condvar,
+    /// A session's connection to one worker, and the lines written on
+    /// it whose frames are unread. The worker session answers its lines
+    /// in order, so the next frame on the wire belongs to the oldest.
+    /// Reads are bounded by [`WORKER_READ_TIMEOUT`] — a killed worker
+    /// closes the socket (EOF) and an unresponsive one times out;
+    /// neither wedges a read.
+    struct Conn {
+        worker: Arc<Worker>,
+        writer: Stream,
+        reader: BufReader<Stream>,
+        /// Session sequence numbers of the unread lines, oldest first.
+        unread: VecDeque<u64>,
+        /// No frame read on it yet: a failure now means the worker is
+        /// dead, not that a long-lived connection went stale.
+        fresh: bool,
+        /// Why a write failed; the next read from this connection fails
+        /// with it instead.
+        broken: Option<String>,
     }
 
-    impl Gate {
-        fn new(max: usize) -> Gate {
-            Gate {
-                max,
-                n: Mutex::new(0),
-                cv: Condvar::new(),
-            }
-        }
-
-        fn acquire(&self) {
-            let mut n = self.n.lock().unwrap_or_else(PoisonError::into_inner);
-            while *n >= self.max {
-                n = self.cv.wait(n).unwrap_or_else(PoisonError::into_inner);
-            }
-            *n += 1;
-        }
-
-        fn release(&self) {
-            *self.n.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-            self.cv.notify_one();
-        }
-    }
-
-    /// One response frame's place in the session's output order. Slots
-    /// enter the writer queue in request-arrival order and each blocks
-    /// the writer until its forward fills it — which is exactly
-    /// "responses stream back in arrival order".
-    struct Slot {
-        frame: Mutex<Option<Vec<u8>>>,
-        filled: Condvar,
-    }
-
-    impl Slot {
-        fn empty() -> Arc<Slot> {
-            Arc::new(Slot {
-                frame: Mutex::new(None),
-                filled: Condvar::new(),
+    impl Conn {
+        fn open(worker: &Arc<Worker>) -> std::io::Result<Conn> {
+            let writer = worker.endpoint.connect()?;
+            let reader_half = writer.try_clone()?;
+            reader_half.set_read_timeout(Some(WORKER_READ_TIMEOUT))?;
+            Ok(Conn {
+                worker: Arc::clone(worker),
+                writer,
+                reader: BufReader::new(reader_half),
+                unread: VecDeque::new(),
+                fresh: true,
+                broken: None,
             })
         }
 
-        /// A slot that is already complete (error frames, join
-        /// responses, lockstep forwards).
-        fn ready(bytes: Vec<u8>) -> Arc<Slot> {
-            Arc::new(Slot {
-                frame: Mutex::new(Some(bytes)),
-                filled: Condvar::new(),
-            })
-        }
-
-        fn fill(&self, bytes: Vec<u8>) {
-            let mut frame = self.frame.lock().unwrap_or_else(PoisonError::into_inner);
-            *frame = Some(bytes);
-            self.filled.notify_all();
-        }
-
-        fn take(&self) -> Vec<u8> {
-            let mut frame = self.frame.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(bytes) = frame.take() {
-                    return bytes;
+        /// Write one request line (a single `write`) and queue its frame.
+        fn send(&mut self, seq: u64, line: &str) {
+            if self.broken.is_none() {
+                let mut msg = Vec::with_capacity(line.len() + 1);
+                msg.extend_from_slice(line.as_bytes());
+                msg.push(b'\n');
+                if let Err(e) = self.writer.write_all(&msg) {
+                    self.broken = Some(e.to_string());
                 }
-                frame = self
-                    .filled
-                    .wait(frame)
-                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            self.unread.push_back(seq);
+        }
+
+        /// The next frame on the wire, or why there is none.
+        fn read(&mut self) -> Result<Vec<u8>, String> {
+            match self.broken.take() {
+                Some(e) => Err(e),
+                None => read_frame(&mut self.reader).map_err(|e| e.to_string()),
             }
         }
+    }
+
+    /// A client line's place in the session's output order.
+    enum Slot {
+        /// The frame to relay: a framing error, a join answer, a
+        /// rejection, or a worker's frame already read.
+        Ready(Vec<u8>),
+        /// Written to a worker; its frame is still on that connection.
+        Sent(Forward),
+    }
+
+    /// A request line written to the worker at index `worker`.
+    struct Forward {
+        line: String,
+        key: u64,
+        worker: usize,
+        permit: Option<Permit>,
+        sent: Instant,
+    }
+
+    /// One client session's forwarding state: its connection to each
+    /// worker it has written to (by worker index, opened on first use)
+    /// and every line not yet relayed, in arrival order.
+    struct Session<'a> {
+        router: &'a Router,
+        id: u64,
+        conns: Vec<Option<Conn>>,
+        slots: VecDeque<Slot>,
+        /// Sequence number of `slots[0]`.
+        head: u64,
+    }
+
+    impl Session<'_> {
+        fn slot(&mut self, seq: u64) -> &mut Slot {
+            &mut self.slots[(seq - self.head) as usize]
+        }
+
+        /// Route a new request line and queue its slot.
+        fn forward(&mut self, line: String) {
+            let key = super::route_key(&line);
+            let seq = self.head + self.slots.len() as u64;
+            let slot = self.dispatch(seq, line, key);
+            self.slots.push_back(slot);
+        }
+
+        /// Pick the owner on the ring, apply its in-flight budget and
+        /// write the line on this session's connection to it. A worker
+        /// that cannot be connected is marked dead and the line walks to
+        /// the ring successor; only a fully dead ring or a spent budget
+        /// answers with an error frame.
+        fn dispatch(&mut self, seq: u64, line: String, key: u64) -> Slot {
+            let router = self.router;
+            let session = self.id;
+            loop {
+                let (index, worker) = {
+                    let members = router.read_members();
+                    let alive: Vec<bool> = members.workers.iter().map(|w| w.routable()).collect();
+                    match members.ring.route(key, &alive) {
+                        Some(w) => (w, Arc::clone(&members.workers[w])),
+                        None => {
+                            router.unrouted.fetch_add(1, Ordering::Relaxed);
+                            eprintln!(
+                                "router[{session}]: {line} -> no live worker (id={key:016x})"
+                            );
+                            return Slot::Ready(
+                                wire::error_frame(wire::REASON_NO_WORKER).into_bytes(),
+                            );
+                        }
+                    }
+                };
+                // The budget is per-worker and the decision is final:
+                // the id's home worker is the only one whose caches are
+                // warm for it, so spilling to a sibling would trade an
+                // explicit overload for a silent cold evaluation.
+                let Ok(permit) = Permit::take(&worker) else {
+                    worker.rejected.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "router[{session}]: {line} -> {} rejected (overload)",
+                        worker.name
+                    );
+                    return Slot::Ready(wire::error_frame(wire::REASON_OVERLOAD).into_bytes());
+                };
+                if self.conns.len() <= index {
+                    self.conns.resize_with(index + 1, || None);
+                }
+                let conn = match &mut self.conns[index] {
+                    Some(conn) => conn,
+                    empty @ None => match Conn::open(&worker) {
+                        Ok(conn) => empty.insert(conn),
+                        Err(e) => {
+                            let e = format!("connect to {}: {e}", worker.endpoint);
+                            reroute(session, &worker, key, &e);
+                            continue;
+                        }
+                    },
+                };
+                conn.send(seq, &line);
+                return Slot::Sent(Forward {
+                    line,
+                    key,
+                    worker: index,
+                    permit,
+                    sent: Instant::now(),
+                });
+            }
+        }
+
+        /// Write every relayable frame at the head of the order.
+        fn relay_ready(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+            while let Some(Slot::Ready(frame)) = self.slots.front() {
+                out.write_all(frame)?;
+                self.slots.pop_front();
+                self.head += 1;
+            }
+            Ok(())
+        }
+
+        /// Block until the oldest slot holds its frame, reading frames
+        /// off its worker connection in the order they arrive there
+        /// (each answers the oldest line unread on that connection); a
+        /// failed read hands the connection's lines to
+        /// [`Session::recover`].
+        fn settle_front(&mut self) {
+            while let Some(Slot::Sent(front)) = self.slots.front() {
+                let index = front.worker;
+                let conn = self.conns[index]
+                    .as_mut()
+                    .expect("a sent line's connection stays open until its frame is read");
+                let frame = match conn.read() {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        self.recover(index, &e);
+                        continue;
+                    }
+                };
+                conn.fresh = false;
+                let seq = conn
+                    .unread
+                    .pop_front()
+                    .expect("frames are read only for lines written on the connection");
+                let worker = Arc::clone(&conn.worker);
+                let bytes = frame.len();
+                if let Slot::Sent(fwd) = std::mem::replace(self.slot(seq), Slot::Ready(frame)) {
+                    worker.forwarded.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "router[{}]: {} -> {} id={:016x} ({bytes} bytes, {:.1} ms)",
+                        self.id,
+                        fwd.line,
+                        worker.name,
+                        fwd.key,
+                        fwd.sent.elapsed().as_secs_f64() * 1000.0
+                    );
+                }
+            }
+        }
+
+        /// The connection to worker `index` failed with `err`. One that
+        /// has answered before may just have gone stale, so its unread
+        /// lines go again on one fresh connection. Otherwise the worker
+        /// is declared dead and each unread line re-routes to the ring
+        /// successor.
+        fn recover(&mut self, index: usize, err: &str) {
+            let Some(old) = self.conns[index].take() else {
+                return;
+            };
+            if !old.fresh {
+                if let Ok(mut conn) = Conn::open(&old.worker) {
+                    for &seq in &old.unread {
+                        if let Slot::Sent(fwd) = self.slot(seq) {
+                            conn.send(seq, &fwd.line);
+                        }
+                    }
+                    self.conns[index] = Some(conn);
+                    return;
+                }
+            }
+            for seq in old.unread {
+                let unsent = std::mem::replace(self.slot(seq), Slot::Ready(Vec::new()));
+                if let Slot::Sent(Forward {
+                    line, key, permit, ..
+                }) = unsent
+                {
+                    drop(permit);
+                    reroute(self.id, &old.worker, key, err);
+                    let slot = self.dispatch(seq, line, key);
+                    *self.slot(seq) = slot;
+                }
+            }
+        }
+    }
+
+    /// Take `worker` out of rotation after a failed forward of the line
+    /// keyed `key`; the caller routes the line again.
+    fn reroute(session: u64, worker: &Worker, key: u64, err: &str) {
+        worker.mark_dead();
+        worker.rerouted.fetch_add(1, Ordering::Relaxed);
+        eprintln!(
+            "router[{session}]: {} failed ({err}); re-routing id={key:016x} \
+             to the ring successor",
+            worker.name
+        );
     }
 
     /// One client session: read request lines with the serve framing
-    /// rules and forward each, until EOF/quit/shutdown. Up to
-    /// `pipeline` forwards run concurrently; a writer thread streams
-    /// the response frames back in arrival order. Returns whether this
-    /// session asked the whole router to shut down.
-    fn router_session<W: Write + Send>(
+    /// rules and forward each on this thread, until EOF/quit/shutdown.
+    /// Every line the client has already sent, up to `pipeline`, is
+    /// written to its worker before any frame is read, so lines for
+    /// different workers overlap; frames are relayed in arrival order.
+    /// Returns whether this session asked the whole router to shut down.
+    fn router_session(
         router: &Router,
         session: u64,
-        input: &mut impl BufRead,
-        out: W,
+        input: &mut BufReader<Stream>,
+        out: &mut impl Write,
         shutdown: &AtomicBool,
         max_frame: usize,
         pipeline: usize,
     ) -> std::io::Result<bool> {
-        let gate = Gate::new(pipeline.max(1));
-        let gate = &gate;
-        let (tx, rx) = mpsc::channel::<Arc<Slot>>();
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(move || -> std::io::Result<()> {
-                let mut out = out;
-                for slot in rx {
-                    let frame = slot.take();
-                    out.write_all(&frame)?;
-                    out.flush()?;
-                }
-                Ok(())
-            });
-            let mut wants_shutdown = false;
-            let mut buf: Vec<u8> = Vec::new();
-            let hard_cap = serve::HARD_LINE_CAP.max(max_frame.saturating_add(1));
-            loop {
-                match serve::read_raw_line(input, &mut buf, hard_cap) {
-                    RawRead::Pending => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        continue;
-                    }
-                    RawRead::Eof => {
-                        if !buf.is_empty() {
-                            router.malformed.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(Slot::ready(
-                                wire::error_frame(wire::REASON_TRUNCATED).into_bytes(),
-                            ));
-                        }
+        let mut s = Session {
+            router,
+            id: session,
+            conns: Vec::new(),
+            slots: VecDeque::new(),
+            head: 0,
+        };
+        let pipeline = pipeline.max(1);
+        let mut wants_shutdown = false;
+        let mut buf: Vec<u8> = Vec::new();
+        let hard_cap = serve::HARD_LINE_CAP.max(max_frame.saturating_add(1));
+        loop {
+            s.relay_ready(out)?;
+            // With lines outstanding, read on only while the next line
+            // is already here and the pipeline has room; otherwise wait
+            // for the oldest frame.
+            let read_on =
+                s.slots.is_empty() || (s.slots.len() < pipeline && input.buffer().contains(&b'\n'));
+            if !read_on {
+                s.settle_front();
+                continue;
+            }
+            match serve::read_raw_line(input, &mut buf, hard_cap) {
+                RawRead::Pending => {
+                    if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    RawRead::Line => {}
+                    continue;
                 }
-                let line = match serve::classify_line(&buf, max_frame) {
-                    Ok(s) => s.trim().to_string(),
-                    Err(reason) => {
+                RawRead::Eof => {
+                    if !buf.is_empty() {
                         router.malformed.fetch_add(1, Ordering::Relaxed);
-                        if tx
-                            .send(Slot::ready(wire::error_frame(reason).into_bytes()))
-                            .is_err()
-                        {
-                            break; // writer (and so the client) is gone
-                        }
-                        buf.clear();
-                        continue;
+                        s.slots.push_back(Slot::Ready(
+                            wire::error_frame(wire::REASON_TRUNCATED).into_bytes(),
+                        ));
                     }
-                };
-                buf.clear();
-                if line.is_empty() || line.starts_with('#') {
+                    break;
+                }
+                RawRead::Line => {}
+            }
+            let line = match serve::classify_line(&buf, max_frame) {
+                Ok(s) => s.trim().to_string(),
+                Err(reason) => {
+                    router.malformed.fetch_add(1, Ordering::Relaxed);
+                    s.slots
+                        .push_back(Slot::Ready(wire::error_frame(reason).into_bytes()));
+                    buf.clear();
                     continue;
                 }
-                if line == "quit" || line == "exit" {
-                    break;
-                }
-                if line == wire::SHUTDOWN_LINE {
-                    shutdown.store(true, Ordering::SeqCst);
-                    eprintln!("router[{session}]: shutdown frame received; draining");
-                    wants_shutdown = true;
-                    break;
-                }
-                if line.starts_with(wire::JOIN_PREFIX) {
-                    // Joins rebuild the ring; handled inline so every
-                    // earlier line routed on the old ring and every
-                    // later one on the new.
-                    let frame = handle_join(router, session, &line);
-                    if tx.send(Slot::ready(frame)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                router.requests.fetch_add(1, Ordering::Relaxed);
-                if pipeline <= 1 {
-                    // Lockstep: forward inline, no extra thread.
-                    let frame = route_frame(router, session, &line);
-                    if tx.send(Slot::ready(frame)).is_err() {
-                        break;
-                    }
-                } else {
-                    gate.acquire();
-                    let slot = Slot::empty();
-                    if tx.send(Arc::clone(&slot)).is_err() {
-                        gate.release();
-                        break;
-                    }
-                    scope.spawn(move || {
-                        slot.fill(route_frame(router, session, &line));
-                        gate.release();
-                    });
-                }
-                if shutdown.load(Ordering::SeqCst) && !wants_shutdown {
-                    break;
-                }
+            };
+            buf.clear();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
             }
-            drop(tx); // writer drains the remaining slots, then exits
-            match writer.join() {
-                Ok(result) => result.map(|()| wants_shutdown),
-                // A panicking writer already lost the client; the
-                // session just ends.
-                Err(_) => Ok(wants_shutdown),
+            if line == "quit" || line == "exit" {
+                break;
             }
-        })
+            if line == wire::SHUTDOWN_LINE {
+                shutdown.store(true, Ordering::SeqCst);
+                eprintln!("router[{session}]: shutdown frame received; draining");
+                wants_shutdown = true;
+                break;
+            }
+            if line.starts_with(wire::JOIN_PREFIX) {
+                // Joins rebuild the ring; handled inline so every
+                // earlier line routed on the old ring and every later
+                // one on the new.
+                s.slots
+                    .push_back(Slot::Ready(handle_join(router, session, &line)));
+                continue;
+            }
+            router.requests.fetch_add(1, Ordering::Relaxed);
+            s.forward(line);
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+        // Relay every line still outstanding, in order; dropping the
+        // session then closes its worker connections.
+        while !s.slots.is_empty() {
+            s.settle_front();
+            s.relay_ready(out)?;
+        }
+        Ok(wants_shutdown)
     }
 
     /// The base path spawned workers hang their unix sockets off: the
@@ -1293,7 +1348,7 @@ mod socket {
             }
             if active.len() < sessions {
                 match listener.accept() {
-                    Ok(stream) => {
+                    Ok(mut stream) => {
                         last_activity = Instant::now();
                         let id = next_session;
                         next_session += 1;
@@ -1312,7 +1367,13 @@ mod socket {
                             };
                             let mut input = BufReader::new(reader);
                             match router_session(
-                                &router, id, &mut input, stream, &shutdown, max_frame, pipeline,
+                                &router,
+                                id,
+                                &mut input,
+                                &mut stream,
+                                &shutdown,
+                                max_frame,
+                                pipeline,
                             ) {
                                 Ok(_) => eprintln!("router[{id}]: session done"),
                                 Err(e) => eprintln!("router[{id}]: session ended: {e}"),
@@ -1336,7 +1397,6 @@ mod socket {
         let _ = probe.join();
         let final_workers: Vec<Arc<Worker>> = router.read_members().workers.clone();
         for worker in &final_workers {
-            worker.drain_pool();
             stop_worker(worker);
         }
         listen.cleanup();

@@ -125,6 +125,14 @@ impl Admission {
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
+
+    /// Give back one slot. [`AdmissionPermit`] calls this on drop; a
+    /// holder that must keep its slot past the permit's borrow (the
+    /// router holds a worker's slot from the write of a line until its
+    /// frame is read) forgets the permit and calls this itself.
+    pub(crate) fn release(&self) {
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// An admitted request's slot; dropping it releases the budget.
@@ -132,7 +140,7 @@ pub struct AdmissionPermit<'a>(&'a Admission);
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.0.release();
     }
 }
 

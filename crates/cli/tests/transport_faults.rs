@@ -147,6 +147,9 @@ enum Script {
     KilledMidTrailer,
     /// Claim a body far past any sane frame (the allocation-cap probe).
     AbsurdClaim,
+    /// Answer the first line on each connection with a valid frame,
+    /// then close it, as a worker restarted between requests would.
+    OncePerConnection(Vec<u8>),
 }
 
 /// A fake worker: accepts connections forever (the router's revival
@@ -213,6 +216,10 @@ fn serve_fake(listener: Listener, script: Script) {
                     );
                     let _ = conn.flush();
                 }
+                Script::OncePerConnection(frame) => {
+                    let _ = conn.write_all(frame);
+                    let _ = conn.flush();
+                }
             }
             break; // every non-dribble script ends with a dead socket
         }
@@ -220,9 +227,10 @@ fn serve_fake(listener: Listener, script: Script) {
     }
 }
 
-/// One router over a single scripted fake worker: send `table1`, return
-/// the raw client bytes after shutting the router down.
-fn fake_worker_round(tcp: bool, tag: &str, script: Script) -> String {
+/// One router over a single scripted fake worker: send `lines` on one
+/// connection, return the raw client bytes after shutting the router
+/// down.
+fn fake_worker_round(tcp: bool, tag: &str, script: Script, lines: &str) -> String {
     let dir = tmp_dir(tag);
     let fake = fake_worker(tcp, &dir, "fake.sock", script);
     let (mut opts, listen) = listen_options(tcp, &dir);
@@ -232,7 +240,7 @@ fn fake_worker_round(tcp: bool, tag: &str, script: Script) -> String {
     }
     let router = std::thread::spawn(move || run_router(&opts));
     await_endpoint(&listen);
-    let out = client(&listen, "table1\n");
+    let out = client(&listen, lines);
     let _ = client(&listen, "ghr-shutdown\n");
     router.join().unwrap().expect("router drains cleanly");
     let _ = std::fs::remove_dir_all(&dir);
@@ -251,7 +259,12 @@ fn dribbled_frame_passes_through(tcp: bool) {
         wire::FRAME_END
     );
     let tag = if tcp { "dribble-tcp" } else { "dribble-unix" };
-    let out = fake_worker_round(tcp, tag, Script::Dribble(frame.clone().into_bytes()));
+    let out = fake_worker_round(
+        tcp,
+        tag,
+        Script::Dribble(frame.clone().into_bytes()),
+        "table1\n",
+    );
     assert_eq!(
         out, frame,
         "tcp={tcp}: dribbled frame must pass through byte-exactly"
@@ -268,6 +281,44 @@ fn dribbled_frame_passes_through_tcp() {
     dribbled_frame_passes_through(true);
 }
 
+/// A connection that has answered before and then fails may just have
+/// gone stale (its worker restarted), so the router resends the lines
+/// still unanswered on it over one fresh connection instead of
+/// declaring the only worker dead. Both lines are written before either
+/// frame is read, so the second is always the one caught on the closed
+/// connection.
+fn stale_connection_is_retried_once(tcp: bool) {
+    let body = "answered once per connection\n";
+    let frame = format!(
+        "{}id=0123456789abcdef status=ok bytes={} evals=0 cached=yes\n{body}{}\n",
+        wire::RESPONSE_PREFIX,
+        body.len(),
+        wire::FRAME_END
+    );
+    let tag = if tcp { "stale-tcp" } else { "stale-unix" };
+    let out = fake_worker_round(
+        tcp,
+        tag,
+        Script::OncePerConnection(frame.clone().into_bytes()),
+        "table1\ntable1\n",
+    );
+    assert_eq!(
+        out,
+        frame.repeat(2),
+        "tcp={tcp}: the second line must be resent on a fresh connection"
+    );
+}
+
+#[test]
+fn stale_connection_is_retried_once_unix() {
+    stale_connection_is_retried_once(false);
+}
+
+#[test]
+fn stale_connection_is_retried_once_tcp() {
+    stale_connection_is_retried_once(true);
+}
+
 /// Torn mid-body, killed mid-`ghr-end`, absurd `bytes=` claim: each
 /// poisons the only worker, so the client must see the explicit
 /// `no-live-worker` frame — promptly, with no hang and no partial
@@ -280,7 +331,7 @@ fn broken_frames_surface_reasoned_errors(tcp: bool) {
     ] {
         let t0 = Instant::now();
         let tag = format!("{tag}-{}", if tcp { "tcp" } else { "unix" });
-        let out = fake_worker_round(tcp, &tag, script);
+        let out = fake_worker_round(tcp, &tag, script, "table1\n");
         assert_eq!(
             out,
             format!(

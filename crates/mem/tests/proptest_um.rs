@@ -1,16 +1,16 @@
 //! Property tests of the unified-memory state machine under arbitrary
 //! access traces.
-
-//
-// Gated off by default: compiling this suite needs the `proptest` crate,
-// which is not vendored. Restore it to [dev-dependencies] and build with
-// `--features proptest` (registry access required).
-#![cfg(feature = "proptest")]
+//!
+//! Two modes, same invariants: shrinking proptest strategies with
+//! `--features proptest` (registry access required to restore the crate
+//! to [dev-dependencies]), and a std-only SplitMix64 fallback by
+//! default so the properties run offline on every `cargo test`. The
+//! fallback also replays the case proptest once shrank a failure to
+//! (`len = 1`, saved in `proptest_um.proptest-regressions`).
 
 use ghr_machine::MachineConfig;
 use ghr_mem::{CpuAccessPolicy, Residency, UnifiedMemory};
 use ghr_types::{Bytes, Device};
-use proptest::prelude::*;
 
 fn machine_with_pages(page: u64) -> MachineConfig {
     let mut m = MachineConfig::gh200();
@@ -26,13 +26,15 @@ enum Op {
     PrefetchCpu(f64, f64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0..4u8, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(k, a, b)| match k {
-        0 => Op::Cpu(a, b),
-        1 => Op::Gpu(a, b),
-        2 => Op::PrefetchGpu(a, b),
-        _ => Op::PrefetchCpu(a, b),
-    })
+impl Op {
+    fn of(kind: u8, a: f64, b: f64) -> Op {
+        match kind {
+            0 => Op::Cpu(a, b),
+            1 => Op::Gpu(a, b),
+            2 => Op::PrefetchGpu(a, b),
+            _ => Op::PrefetchCpu(a, b),
+        }
+    }
 }
 
 fn range_of(len: u64, a: f64, b: f64) -> (Bytes, Bytes) {
@@ -41,125 +43,305 @@ fn range_of(len: u64, a: f64, b: f64) -> (Bytes, Bytes) {
     (Bytes(off), Bytes(n))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Under any trace: page counts are conserved, outcomes account for
-    /// exactly the requested bytes, and stats never decrease.
-    #[test]
-    fn trace_invariants(
-        len in 1u64..200_000,
-        page in prop_oneof![Just(512u64), Just(4096), Just(65536)],
-        ops in proptest::collection::vec(op_strategy(), 1..40),
-    ) {
-        let machine = machine_with_pages(page);
-        let mut um = UnifiedMemory::new(&machine);
-        let rid = um.alloc(Bytes(len));
-        let total_pages = len.div_ceil(page);
-        let mut last_migrated = Bytes::ZERO;
-        for op in ops {
-            match op {
-                Op::Cpu(a, b) => {
-                    let (off, n) = range_of(len, a, b);
-                    let out = um.cpu_access(rid, off, n);
-                    prop_assert_eq!(out.total(), n);
-                }
-                Op::Gpu(a, b) => {
-                    let (off, n) = range_of(len, a, b);
-                    let out = um.gpu_access(rid, off, n);
-                    prop_assert_eq!(out.total(), n);
-                }
-                Op::PrefetchGpu(a, b) => {
-                    let (off, n) = range_of(len, a, b);
-                    um.prefetch(Device::GPU0, rid, off, n);
-                }
-                Op::PrefetchCpu(a, b) => {
-                    let (off, n) = range_of(len, a, b);
-                    um.prefetch(Device::Host, rid, off, n);
-                }
+/// Run one trace over a fresh region and check, after every op, that
+/// page counts are conserved, outcomes account for exactly the
+/// requested bytes, and migration stats never decrease. `Err` names the
+/// first op that broke an invariant.
+fn check_trace(len: u64, page: u64, ops: &[Op]) -> Result<(), String> {
+    let machine = machine_with_pages(page);
+    let mut um = UnifiedMemory::new(&machine);
+    let rid = um.alloc(Bytes(len));
+    let total_pages = len.div_ceil(page);
+    let mut last_migrated = Bytes::ZERO;
+    for (i, op) in ops.iter().enumerate() {
+        let accounted = match *op {
+            Op::Cpu(a, b) => {
+                let (off, n) = range_of(len, a, b);
+                Some((um.cpu_access(rid, off, n).total(), n))
             }
-            let (u, c, g) = um.residency_histogram(rid);
-            prop_assert_eq!(u + c + g, total_pages);
-            let migrated = um.stats().migrated_to_gpu + um.stats().migrated_to_cpu;
-            prop_assert!(migrated >= last_migrated);
-            last_migrated = migrated;
+            Op::Gpu(a, b) => {
+                let (off, n) = range_of(len, a, b);
+                Some((um.gpu_access(rid, off, n).total(), n))
+            }
+            Op::PrefetchGpu(a, b) => {
+                let (off, n) = range_of(len, a, b);
+                um.prefetch(Device::GPU0, rid, off, n);
+                None
+            }
+            Op::PrefetchCpu(a, b) => {
+                let (off, n) = range_of(len, a, b);
+                um.prefetch(Device::Host, rid, off, n);
+                None
+            }
+        };
+        if let Some((got, want)) = accounted {
+            if got != want {
+                return Err(format!(
+                    "op {i} {op:?}: outcome {got:?} != requested {want:?}"
+                ));
+            }
         }
+        let (u, c, g) = um.residency_histogram(rid);
+        if u + c + g != total_pages {
+            return Err(format!("op {i} {op:?}: {u}+{c}+{g} pages != {total_pages}"));
+        }
+        let migrated = um.stats().migrated_to_gpu + um.stats().migrated_to_cpu;
+        if migrated < last_migrated {
+            return Err(format!("op {i} {op:?}: migrated bytes went backwards"));
+        }
+        last_migrated = migrated;
+    }
+    Ok(())
+}
+
+/// A full GPU pass after CPU initialization of `pages` whole pages:
+/// `(unpopulated, cpu-resident)` pages after it, and the pages a second
+/// pass migrates.
+fn gpu_pass_residue(pages: u64) -> (u64, u64, u64) {
+    let len = pages * 4096;
+    let machine = machine_with_pages(4096);
+    let mut um = UnifiedMemory::new(&machine);
+    let rid = um.alloc(Bytes(len));
+    um.cpu_access(rid, Bytes::ZERO, Bytes(len));
+    um.gpu_access(rid, Bytes::ZERO, Bytes(len));
+    let (u, c, _) = um.residency_histogram(rid);
+    let before = um.stats().pages_migrated;
+    um.gpu_access(rid, Bytes::ZERO, Bytes(len));
+    (u, c, um.stats().pages_migrated - before)
+}
+
+#[cfg(feature = "proptest")]
+mod with_proptest {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0..4u8, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(k, a, b)| Op::of(k, a, b))
     }
 
-    /// A full GPU pass after CPU initialization leaves no CPU-resident
-    /// pages (threshold 1), and further passes are free of migration.
-    /// Lengths are whole pages: a partial trailing page never accumulates
-    /// a full access-counter pass and legitimately stays CPU-resident.
-    #[test]
-    fn full_gpu_pass_settles(pages in 1u64..32) {
-        let len = pages * 4096;
-        let machine = machine_with_pages(4096);
-        let mut um = UnifiedMemory::new(&machine);
-        let rid = um.alloc(Bytes(len));
-        um.cpu_access(rid, Bytes::ZERO, Bytes(len));
-        um.gpu_access(rid, Bytes::ZERO, Bytes(len));
-        let (u, c, _) = um.residency_histogram(rid);
-        prop_assert_eq!(u, 0);
-        prop_assert_eq!(c, 0);
-        let before = um.stats().pages_migrated;
-        um.gpu_access(rid, Bytes::ZERO, Bytes(len));
-        prop_assert_eq!(um.stats().pages_migrated, before);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// With the migrate-back policy, CPU and GPU passes ping-pong pages —
-    /// and the page count still balances. Whole-page lengths (see above).
-    #[test]
-    fn migrate_back_ping_pong(pages in 1u64..12, rounds in 1usize..6) {
-        let len = pages * 4096;
-        let machine = machine_with_pages(4096);
-        let mut um = UnifiedMemory::new(&machine);
-        um.set_cpu_policy(CpuAccessPolicy::MigrateBack { passes: 1.0 });
-        let rid = um.alloc(Bytes(len));
-        um.cpu_access(rid, Bytes::ZERO, Bytes(len));
-        for _ in 0..rounds {
-            um.gpu_access(rid, Bytes::ZERO, Bytes(len));
-            prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Gpu);
+        /// Under any trace: page counts are conserved, outcomes account for
+        /// exactly the requested bytes, and stats never decrease.
+        #[test]
+        fn trace_invariants(
+            len in 1u64..200_000,
+            page in prop_oneof![Just(512u64), Just(4096), Just(65536)],
+            ops in proptest::collection::vec(op_strategy(), 1..40),
+        ) {
+            if let Err(e) = check_trace(len, page, &ops) {
+                prop_assert!(false, "{}", e);
+            }
+        }
+
+        /// A full GPU pass after CPU initialization leaves no CPU-resident
+        /// pages (threshold 1), and further passes are free of migration.
+        /// Lengths are whole pages: a partial trailing page never accumulates
+        /// a full access-counter pass and legitimately stays CPU-resident.
+        #[test]
+        fn full_gpu_pass_settles(pages in 1u64..32) {
+            prop_assert_eq!(gpu_pass_residue(pages), (0, 0, 0));
+        }
+
+        /// With the migrate-back policy, CPU and GPU passes ping-pong pages —
+        /// and the page count still balances. Whole-page lengths (see above).
+        #[test]
+        fn migrate_back_ping_pong(pages in 1u64..12, rounds in 1usize..6) {
+            let len = pages * 4096;
+            let machine = machine_with_pages(4096);
+            let mut um = UnifiedMemory::new(&machine);
+            um.set_cpu_policy(CpuAccessPolicy::MigrateBack { passes: 1.0 });
+            let rid = um.alloc(Bytes(len));
             um.cpu_access(rid, Bytes::ZERO, Bytes(len));
-            prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Cpu);
+            for _ in 0..rounds {
+                um.gpu_access(rid, Bytes::ZERO, Bytes(len));
+                prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Gpu);
+                um.cpu_access(rid, Bytes::ZERO, Bytes(len));
+                prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Cpu);
+            }
+            // Each round migrates every page twice.
+            prop_assert_eq!(um.stats().pages_migrated, 2 * pages * rounds as u64);
         }
-        // Each round migrates every page twice.
-        prop_assert_eq!(um.stats().pages_migrated, 2 * pages * rounds as u64);
-    }
 
-    /// Raising the migration threshold strictly delays migration: with
-    /// threshold k, the first k-1 full passes stay remote.
-    #[test]
-    fn threshold_delays_migration(k in 2u32..6) {
-        let machine = machine_with_pages(4096);
-        let mut um = UnifiedMemory::new(&machine);
-        um.set_gpu_migrate_threshold(k as f64);
-        let len = Bytes(40_960);
-        let rid = um.alloc(len);
-        um.cpu_access(rid, Bytes::ZERO, len);
-        for pass in 1..k {
+        /// Raising the migration threshold strictly delays migration: with
+        /// threshold k, the first k-1 full passes stay remote.
+        #[test]
+        fn threshold_delays_migration(k in 2u32..6) {
+            let machine = machine_with_pages(4096);
+            let mut um = UnifiedMemory::new(&machine);
+            um.set_gpu_migrate_threshold(k as f64);
+            let len = Bytes(40_960);
+            let rid = um.alloc(len);
+            um.cpu_access(rid, Bytes::ZERO, len);
+            for pass in 1..k {
+                let out = um.gpu_access(rid, Bytes::ZERO, len);
+                prop_assert_eq!(out.remote, len, "pass {}", pass);
+            }
             let out = um.gpu_access(rid, Bytes::ZERO, len);
-            prop_assert_eq!(out.remote, len, "pass {}", pass);
+            prop_assert_eq!(out.migrated, len);
         }
-        let out = um.gpu_access(rid, Bytes::ZERO, len);
-        prop_assert_eq!(out.migrated, len);
+
+        /// Disjoint regions never interact.
+        #[test]
+        fn regions_are_isolated(l1 in 1u64..50_000, l2 in 1u64..50_000) {
+            let machine = machine_with_pages(4096);
+            let mut um = UnifiedMemory::new(&machine);
+            let a = um.alloc(Bytes(l1));
+            let b = um.alloc(Bytes(l2));
+            um.cpu_access(a, Bytes::ZERO, Bytes(l1));
+            um.gpu_access(b, Bytes::ZERO, Bytes(l2));
+            let (_, c_a, g_a) = um.residency_histogram(a);
+            let (_, c_b, g_b) = um.residency_histogram(b);
+            prop_assert_eq!(g_a, 0);
+            prop_assert_eq!(c_b, 0);
+            prop_assert_eq!(c_a, l1.div_ceil(4096));
+            prop_assert_eq!(g_b, l2.div_ceil(4096));
+            um.free(a);
+            prop_assert_eq!(um.len(b), Bytes(l2));
+        }
+    }
+}
+
+/// Std-only fallback: the same invariants over SplitMix64-seeded random
+/// inputs (no shrinking, but exercised offline on every `cargo test`).
+#[cfg(not(feature = "proptest"))]
+mod std_fallback {
+    use super::*;
+
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn op(&mut self) -> Op {
+            let kind = self.range(0, 4) as u8;
+            Op::of(kind, self.unit(), self.unit())
+        }
     }
 
-    /// Disjoint regions never interact.
+    const CASES: usize = 48;
+
     #[test]
-    fn regions_are_isolated(l1 in 1u64..50_000, l2 in 1u64..50_000) {
-        let machine = machine_with_pages(4096);
-        let mut um = UnifiedMemory::new(&machine);
-        let a = um.alloc(Bytes(l1));
-        let b = um.alloc(Bytes(l2));
-        um.cpu_access(a, Bytes::ZERO, Bytes(l1));
-        um.gpu_access(b, Bytes::ZERO, Bytes(l2));
-        let (_, c_a, g_a) = um.residency_histogram(a);
-        let (_, c_b, g_b) = um.residency_histogram(b);
-        prop_assert_eq!(g_a, 0);
-        prop_assert_eq!(c_b, 0);
-        prop_assert_eq!(c_a, l1.div_ceil(4096));
-        prop_assert_eq!(g_b, l2.div_ceil(4096));
-        um.free(a);
-        prop_assert_eq!(um.len(b), Bytes(l2));
+    fn trace_invariants() {
+        let mut rng = SplitMix64(0x0a11_0c01);
+        for _ in 0..CASES {
+            let len = rng.range(1, 200_000);
+            let page = [512u64, 4096, 65536][rng.range(0, 3) as usize];
+            let ops: Vec<Op> = (0..rng.range(1, 40)).map(|_| rng.op()).collect();
+            if let Err(e) = check_trace(len, page, &ops) {
+                panic!("len={len} page={page}: {e}");
+            }
+        }
+    }
+
+    /// The saved shrink: a one-byte region, which is a single partial
+    /// page, under every op kind at both ends of its range and every
+    /// page size.
+    #[test]
+    fn trace_invariants_one_byte_region() {
+        let ops: Vec<Op> = (0..4u8)
+            .flat_map(|k| {
+                [
+                    Op::of(k, 0.0, 1.0),
+                    Op::of(k, 0.0, 0.0),
+                    Op::of(k, 0.99, 1.0),
+                ]
+            })
+            .collect();
+        for page in [512u64, 4096, 65536] {
+            if let Err(e) = check_trace(1, page, &ops) {
+                panic!("len=1 page={page}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_gpu_pass_settles() {
+        for pages in 1u64..32 {
+            assert_eq!(gpu_pass_residue(pages), (0, 0, 0), "pages={pages}");
+        }
+    }
+
+    #[test]
+    fn migrate_back_ping_pong() {
+        for pages in 1u64..12 {
+            for rounds in 1u64..6 {
+                let len = pages * 4096;
+                let machine = machine_with_pages(4096);
+                let mut um = UnifiedMemory::new(&machine);
+                um.set_cpu_policy(CpuAccessPolicy::MigrateBack { passes: 1.0 });
+                let rid = um.alloc(Bytes(len));
+                um.cpu_access(rid, Bytes::ZERO, Bytes(len));
+                for _ in 0..rounds {
+                    um.gpu_access(rid, Bytes::ZERO, Bytes(len));
+                    assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Gpu);
+                    um.cpu_access(rid, Bytes::ZERO, Bytes(len));
+                    assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Cpu);
+                }
+                // Each round migrates every page twice.
+                assert_eq!(
+                    um.stats().pages_migrated,
+                    2 * pages * rounds,
+                    "pages={pages} rounds={rounds}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_delays_migration() {
+        for k in 2u32..6 {
+            let machine = machine_with_pages(4096);
+            let mut um = UnifiedMemory::new(&machine);
+            um.set_gpu_migrate_threshold(f64::from(k));
+            let len = Bytes(40_960);
+            let rid = um.alloc(len);
+            um.cpu_access(rid, Bytes::ZERO, len);
+            for pass in 1..k {
+                let out = um.gpu_access(rid, Bytes::ZERO, len);
+                assert_eq!(out.remote, len, "k={k} pass {pass}");
+            }
+            let out = um.gpu_access(rid, Bytes::ZERO, len);
+            assert_eq!(out.migrated, len, "k={k}");
+        }
+    }
+
+    #[test]
+    fn regions_are_isolated() {
+        let mut rng = SplitMix64(0x0a11_0c05);
+        for _ in 0..CASES {
+            let (l1, l2) = (rng.range(1, 50_000), rng.range(1, 50_000));
+            let machine = machine_with_pages(4096);
+            let mut um = UnifiedMemory::new(&machine);
+            let a = um.alloc(Bytes(l1));
+            let b = um.alloc(Bytes(l2));
+            um.cpu_access(a, Bytes::ZERO, Bytes(l1));
+            um.gpu_access(b, Bytes::ZERO, Bytes(l2));
+            let (_, c_a, g_a) = um.residency_histogram(a);
+            let (_, c_b, g_b) = um.residency_histogram(b);
+            assert_eq!(g_a, 0, "l1={l1} l2={l2}");
+            assert_eq!(c_b, 0, "l1={l1} l2={l2}");
+            assert_eq!(c_a, l1.div_ceil(4096));
+            assert_eq!(g_b, l2.div_ceil(4096));
+            um.free(a);
+            assert_eq!(um.len(b), Bytes(l2));
+        }
     }
 }

@@ -85,6 +85,32 @@ pub fn error_frame(reason: &str) -> String {
     format!("{ERROR_PREFIX}{reason}\n{FRAME_END}\n")
 }
 
+/// Largest body a response frame header may claim. Every frame reader
+/// (the router relaying a worker's frame, loadgen reading a server's)
+/// refuses a larger `bytes=` claim before allocating, so a corrupt or
+/// hostile peer saying `bytes=18446744073709551615` costs nothing. Real
+/// bodies are kilobytes.
+pub const MAX_FRAME_BODY: usize = 16 << 20;
+
+/// The body length a response frame header claims in its `bytes=`
+/// field, or why the header cannot be read: no `bytes=`, a claim that is
+/// not a count, or one past [`MAX_FRAME_BODY`].
+pub fn body_len(header: &str) -> Result<usize, String> {
+    let claim = header
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix("bytes="))
+        .ok_or("frame header without bytes=")?;
+    let bytes: usize = claim
+        .parse()
+        .map_err(|_| format!("frame header claims bytes={claim:?}"))?;
+    if bytes > MAX_FRAME_BODY {
+        return Err(format!(
+            "frame header claims {bytes} body bytes (cap {MAX_FRAME_BODY})"
+        ));
+    }
+    Ok(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +140,22 @@ mod tests {
         let frame = error_frame(REASON_OVERLOAD);
         assert_eq!(frame, "ghr-error reason=overload\nghr-end\n");
         assert_eq!(frame.lines().count(), 2);
+    }
+
+    #[test]
+    fn body_len_reads_the_claim_and_enforces_the_cap() {
+        let header = "ghr-response id=0123456789abcdef status=ok bytes=42 evals=0 cached=yes";
+        assert_eq!(body_len(header), Ok(42));
+        let at_cap = format!("ghr-response id=0 status=ok bytes={MAX_FRAME_BODY} evals=0");
+        assert_eq!(body_len(&at_cap), Ok(MAX_FRAME_BODY));
+        for bad in [
+            "ghr-response id=0 status=ok evals=0 cached=yes",
+            "ghr-response id=0 status=ok bytes=-1 evals=0",
+            "ghr-response id=0 status=ok bytes=9999999999 evals=0",
+            "ghr-response id=0 status=ok bytes=18446744073709551616 evals=0",
+        ] {
+            assert!(body_len(bad).is_err(), "{bad}");
+        }
     }
 
     /// Every slug is a single lowercase-kebab word — it must survive

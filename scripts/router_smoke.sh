@@ -271,9 +271,10 @@ echo "$CATALOG" | while IFS= read -r req; do
     "$GHR" client --tcp "$PORT" "$req" > /dev/null
 done
 # The joined worker needs at least as many serve slots as the router
-# has sessions: every router session pools one persistent connection
-# per worker, and a pooled connection occupies a serve slot for its
-# whole lifetime.
+# has sessions: every router session holds one connection per worker
+# for the session's whole life (its lines for that worker queue on it
+# and are answered in order), and each connection occupies a serve
+# slot for as long as it is open.
 "$GHR" serve --tcp "$JOINPORT" --sessions 16 --cache-dir "$WORK/cachetcp" \
     > "$WORK/joinw.log" 2> "$WORK/joinw.err" &
 JOINW=$!

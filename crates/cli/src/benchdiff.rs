@@ -9,7 +9,10 @@
 //! and renders the throughput, tail-latency, and hot-path counter
 //! deltas per phase. Phases present in only one file render with `-`
 //! instead of silently disappearing, so a report that *lost* a phase
-//! (e.g. a run without `warm_recombine`) is visible in the diff.
+//! (e.g. a run without `warm_recombine`) is visible in the diff. Keys
+//! outside the phases are ignored, so older reports that carried a
+//! top-level locked-cache speedup scalar still diff against current
+//! ones.
 
 use ghr_core::report::Table;
 use ghr_types::Json;
@@ -25,12 +28,10 @@ struct PhaseNums {
 }
 
 /// One parsed report: display label (the path, plus the report's own
-/// `--label` stamp when it carries one), phase rows in order, speedup
-/// scalar.
+/// `--label` stamp when it carries one) and phase rows in order.
 struct BenchFile {
     label: String,
     phases: Vec<(String, PhaseNums)>,
-    warm_speedup: Option<f64>,
 }
 
 fn load(path: &str) -> Result<BenchFile, String> {
@@ -67,11 +68,7 @@ fn load(path: &str) -> Result<BenchFile, String> {
         Some(name) => format!("{path} [{name}]"),
         None => path.to_string(),
     };
-    Ok(BenchFile {
-        label,
-        phases,
-        warm_speedup: doc.get("warm_speedup_vs_locked").and_then(Json::as_f64),
-    })
+    Ok(BenchFile { label, phases })
 }
 
 fn fmt_num(v: Option<f64>) -> String {
@@ -157,23 +154,6 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
         }
     }
     out.push_str(&t.to_markdown());
-
-    if baseline.warm_speedup.is_some() || candidates.iter().any(|c| c.warm_speedup.is_some()) {
-        let _ = writeln!(
-            out,
-            "\nwarm replica speedup vs locked: baseline {}",
-            fmt_num(baseline.warm_speedup)
-        );
-        for c in candidates {
-            let _ = writeln!(
-                out,
-                "  {}: {} ({})",
-                c.label,
-                fmt_num(c.warm_speedup),
-                fmt_delta(baseline.warm_speedup, c.warm_speedup)
-            );
-        }
-    }
     Ok(out)
 }
 
@@ -217,10 +197,7 @@ mod tests {
                  \"hot_path\": {\"warm_lock_acquisitions\": 0, \"evaluated\": 0}}",
             );
         }
-        format!(
-            "{{\n  \"bench\": \"loadgen\",\n  \"phases\": [\n    {phases}\n  ],\n  \
-             \"warm_speedup_vs_locked\": 1.25\n}}\n"
-        )
+        format!("{{\n  \"bench\": \"loadgen\",\n  \"phases\": [\n    {phases}\n  ]\n}}\n")
     }
 
     #[test]
@@ -235,7 +212,25 @@ mod tests {
         assert!(out.contains("warm locks"), "{out}");
         // The candidate-only phase still renders, with `-` baselines.
         assert!(out.contains("warm_recombine"), "{out}");
-        assert!(out.contains("warm replica speedup vs locked"), "{out}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reports_carrying_the_retired_speedup_scalar_still_diff() {
+        let dir = std::env::temp_dir().join(format!("ghr-benchdiff-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // An older report: current phases plus the trailing locked-cache
+        // speedup scalar that current reports no longer carry.
+        let old = report(1000.0, 0, false).replacen(
+            "  ]\n}",
+            "  ],\n  \"warm_speedup_vs_locked\": 1.25\n}",
+            1,
+        );
+        let base = write_report(&dir, "old.json", &old);
+        let cand = write_report(&dir, "new.json", &report(1100.0, 0, false));
+        let out = cmd_bench_diff(&[base, cand]).unwrap();
+        assert!(out.contains("+10.0%"), "warm rps still aligns: {out}");
+        assert!(!out.contains("speedup"), "no speedup line: {out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -312,8 +312,8 @@ pub fn run(cmd: &str, rest: &[String]) -> Result<String, String> {
             }
             let _ = writeln!(
                 out,
-                "in-flight claim table: {} claims, {} joins, {} aliased waits",
-                s.inflight_claims, s.inflight_joins, s.inflight_aliased
+                "in-flight: {} claims, {} joins",
+                s.inflight_claims, s.inflight_joins
             );
         }
         let _ = writeln!(out, "kernel backend: {}", ghr_parallel::simd::report());
@@ -371,9 +371,8 @@ fn cmd_cache(dir: Option<&std::path::Path>, rest: &[String]) -> Result<String, S
                 "hot path (per process, not persisted): response hits, coalesced \
                  evaluations,\n  warm lock acquisitions and replica log traffic \
                  (published/syncs/snapshot hits)\n  are engine counters, kept \
-                 per cache layer — response, point, series, corun and\n  the \
-                 in-flight claim table — see --stats / --stats-json on any \
-                 command or serve run"
+                 per cache layer — response, point, series and corun —\n  see \
+                 --stats / --stats-json on any command or serve run"
             );
             Ok(out)
         }

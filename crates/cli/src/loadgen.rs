@@ -4,13 +4,11 @@
 //!
 //! * **in-process** (default) — [`ghr_core::loadgen::run_in_process`]
 //!   drives the engine directly: a cold pass over a class-mixed catalog
-//!   (gpu-point / corun-series / corun-point / what-if), a warm pass
-//!   against the locked baseline response cache, a warm pass against
-//!   the lock-free replica path, and a `warm_recombine` pass of new
-//!   request ids assembled purely from warm item caches, reporting
-//!   engine hot-path counter deltas (including per-layer
-//!   `warm_locks`), per-class latency rows, and the
-//!   replica-over-locked throughput speedup;
+//!   (gpu-point / corun-series / corun-point / what-if), a zipf warm
+//!   pass over the lock-free replica path, and a `warm_recombine` pass
+//!   of new request ids assembled purely from warm item caches,
+//!   reporting engine hot-path counter deltas (including per-layer
+//!   `warm_locks`) and per-class latency rows;
 //! * **`--socket PATH`** (or **`--tcp HOST:PORT`**) — a live `ghr
 //!   serve`/`ghr router` endpoint is driven over persistent connections
 //!   (unix-stream or TCP; same frames either way) with the servable
@@ -188,7 +186,7 @@ pub fn cmd_loadgen(engine: &Engine, rest: &[String]) -> Result<String, String> {
 }
 
 /// The per-phase SLO table and (when measured) the hot-path counter
-/// deltas and the replica-over-locked speedup.
+/// deltas.
 fn render_report(report: &LoadReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -272,12 +270,6 @@ fn render_report(report: &LoadReport) -> String {
                 by_layer
             );
         }
-    }
-    if let Some(speedup) = report.warm_speedup_vs_locked {
-        let _ = writeln!(
-            out,
-            "\nwarm replica throughput vs locked baseline: {speedup:.2}x"
-        );
     }
     out
 }
@@ -433,7 +425,6 @@ fn run_socket(
         zipf_s: cfg.zipf_s,
         seed: cfg.seed,
         phases,
-        warm_speedup_vs_locked: None,
     })
 }
 
@@ -684,7 +675,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("| phase"), "{out}");
-        for phase in ["cold", "warm_locked", "warm", "warm_recombine"] {
+        for phase in ["cold", "warm", "warm_recombine"] {
             assert!(out.contains(phase), "{out}");
         }
         assert!(out.contains("p99 ms"), "{out}");
@@ -696,7 +687,6 @@ mod tests {
         }
         assert!(out.contains("warm lock acquisitions"), "{out}");
         assert!(out.contains("warm locks by layer: response"), "{out}");
-        assert!(out.contains("warm replica throughput vs locked"), "{out}");
         let json = std::fs::read_to_string(&file).unwrap();
         assert!(json.contains("\"bench\": \"loadgen\""), "{json}");
         assert!(json.contains("\"warm_lock_acquisitions\": 0"), "{json}");
@@ -704,7 +694,7 @@ mod tests {
         assert!(
             json.contains(
                 "\"warm_locks\": {\"response\": 0, \"point\": 0, \"series\": 0, \
-                 \"corun\": 0, \"inflight\": 0}"
+                 \"corun\": 0}"
             ),
             "{json}"
         );

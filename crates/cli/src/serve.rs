@@ -512,11 +512,10 @@ pub fn stats_json(stats: &EngineStats, stages: &[StageTiming], wall_ms: f64) -> 
     }
     let _ = write!(
         s,
-        "}},\"inflight\":{{\"claims\":{},\"joins\":{},\"aliased\":{}}},\
+        "}},\"inflight\":{{\"claims\":{},\"joins\":{}}},\
          \"wall_ms\":{},\"stages\":[",
         stats.inflight_claims,
         stats.inflight_joins,
-        stats.inflight_aliased,
         json_f64(wall_ms),
     );
     for (i, st) in stages.iter().enumerate() {
@@ -1026,13 +1025,16 @@ mod tests {
             json.contains("\"response\":{\"warm_lock_acquisitions\":0,\"published\":1,"),
             "the response layer's own row pins its single publication: {json}"
         );
-        assert!(json.contains("\"point\":{"), "{json}");
-        assert!(json.contains("\"series\":{"), "{json}");
-        assert!(json.contains("\"corun\":{"), "{json}");
         assert!(
-            json.contains("\"inflight\":{\"claims\":1,\"joins\":0,\"aliased\":0}"),
-            "one cold request claims the in-flight table once: {json}"
+            json.contains("\"inflight\":{\"claims\":1,\"joins\":0}"),
+            "one cold request leads one request-id flight: {json}"
         );
+        let doc = ghr_types::Json::parse(&json).expect("stats JSON parses back");
+        let layers: Vec<&str> = match doc.get("layers") {
+            Some(ghr_types::Json::Obj(rows)) => rows.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("layers must be an object: {other:?}"),
+        };
+        assert_eq!(layers, ["response", "point", "series", "corun"], "{json}");
         assert!(json.contains("\"log_bytes\":"), "{json}");
         assert!(json.contains("\"syncs\":"), "{json}");
         assert!(json.contains("\"snapshot_hits\":"), "{json}");

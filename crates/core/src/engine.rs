@@ -24,10 +24,11 @@
 //! request (the `ghr serve` steady state) is answered with zero
 //! re-planning. Underneath sit:
 //!
-//! * a **sharded, hash-keyed result cache** keyed by [`WorkItem`] — the
+//! * a **read-mostly result cache** keyed by [`WorkItem`] — the
 //!   resolved [`TargetRegion`] geometry × element count/types × supply
-//!   constraint — so identical points are evaluated once per process no
-//!   matter which request asks;
+//!   constraint — one [`ReadMostly`] log per layer, with one exact-key
+//!   single flight in front of evaluation, so identical points are
+//!   evaluated once per process no matter which request asks;
 //! * a **parallel fan driver** that spreads a stage's items across the
 //!   [`ghr_parallel::ThreadPool`] and reassembles results in deterministic
 //!   index order — tables are bit-identical to the serial path at any
@@ -53,11 +54,11 @@
 //! so a second `ghr all` in another process answers from disk instead of
 //! re-evaluating.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::autotune::TunedConfig;
 use crate::case::Case;
@@ -82,9 +83,9 @@ use ghr_types::{
     WorkloadKind,
 };
 
-/// FNV-1a, used for the machine fingerprint and for shard selection.
-/// Deterministic across processes and platforms (unlike the std
-/// `RandomState`), which keeps shard occupancy reproducible.
+/// FNV-1a, used for the machine fingerprint and for the structured-key
+/// replica maps. Deterministic across processes and platforms (unlike
+/// the std `RandomState`).
 #[derive(Debug, Clone)]
 pub struct Fnv1aHasher(u64);
 
@@ -106,8 +107,6 @@ impl Hasher for Fnv1aHasher {
         }
     }
 }
-
-type BuildFnv = BuildHasherDefault<Fnv1aHasher>;
 
 /// Fingerprint of a machine description (FNV-1a over its debug render):
 /// results cached under one machine are never served for another. Selects
@@ -131,149 +130,83 @@ pub(crate) fn table1_specs() -> Vec<ReductionSpec> {
     specs
 }
 
-const SHARDS: usize = 16;
-
-/// Stripes in the per-work-item evaluation lock table. A stripe is held
-/// only while one item is being evaluated (never across items, and never
-/// by the A2 series assembly, which re-reads already-fanned points), so
-/// collisions cost contention, not correctness — and no lock ordering
-/// issue can arise because no thread ever holds two stripes.
-const EVAL_STRIPES: usize = 64;
-
-/// Slots in the in-flight claim table. A power of two (the slot index is
-/// a mask of the request id) sized far above any realistic number of
-/// simultaneously cold request ids, so slot aliasing — two *different*
-/// ids mapping to one slot — stays a latency rarity, never a correctness
-/// event. Fixed at construction: the table's footprint is
-/// `CLAIM_SLOTS * 8` bytes, reported as the in-flight layer's
-/// `replica_log_bytes`.
-const CLAIM_SLOTS: usize = 1024;
-
-/// Outcome of one claim attempt on the in-flight table.
-enum Claim {
-    /// This caller owns the id: it is the single-flight leader and must
-    /// evaluate, publish, then release the slot.
-    Leader,
-    /// The same id is already claimed by another thread — wait for its
-    /// publish (the coalescing path).
-    InFlight,
-    /// A *different* id occupies the home slot; wait for it to vacate
-    /// and retry. Carries the occupant observed, so the wait can watch
-    /// for any change.
-    Aliased(u64),
-}
-
-/// Lock-free single-flight table: one CAS-claimed `AtomicU64` slot per
-/// request id (home slot only — no probing, so a claim/release pair can
-/// never leave a tombstone for a second leader to race past). Replaces
-/// the `Mutex<HashMap<u64, Flight>>` in-flight map: claiming, joining
-/// and releasing are all atomics, so the coalescing path performs **zero
-/// mutex acquisitions** — followers spin briefly then sleep-poll on the
-/// leader's release, and re-probe the response caches the leader
-/// populated *before* releasing.
-struct ClaimTable {
-    slots: Vec<AtomicU64>,
-    claims: AtomicU64,
+/// Exact-key single flight: at most one thread holds a key at a time.
+/// [`lead`](SingleFlight::lead) waits out the key's current holder, then
+/// hands back a [`Flight`] guard that frees the key when dropped — on
+/// return, on an error, or while a panic unwinds — so a failed leader
+/// never strands the threads queued behind it; the next one re-probes,
+/// misses, and evaluates itself. Keys are exact, so two different keys
+/// never wait on each other.
+///
+/// Every call site runs probe → lead → re-probe → evaluate → publish →
+/// release. The previous holder published before freeing the key, and
+/// the key set's mutex orders that publication before the next holder's
+/// re-probe, so a re-probe miss means the key is genuinely cold. Warm
+/// hits answer from the first probe and never touch the key set.
+///
+/// A poisoned key-set lock is recovered, not propagated: the set only
+/// changes by single `insert`/`remove` calls, so it is valid at every
+/// step, and the guard's `Drop` must not panic.
+struct SingleFlight<K> {
+    held: Mutex<HashSet<K>>,
+    freed: Condvar,
+    /// Leads that found their key held and waited for it.
     joins: AtomicU64,
-    aliased: AtomicU64,
 }
 
-impl ClaimTable {
+impl<K: Copy + Eq + Hash> SingleFlight<K> {
     fn new() -> Self {
-        ClaimTable {
-            slots: (0..CLAIM_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            claims: AtomicU64::new(0),
+        SingleFlight {
+            held: Mutex::new(HashSet::new()),
+            freed: Condvar::new(),
             joins: AtomicU64::new(0),
-            aliased: AtomicU64::new(0),
         }
     }
 
-    /// A slot value of 0 means "vacant", so id 0 — possible in principle
-    /// for an FNV request hash — is remapped to a fixed odd constant.
-    fn slot_key(id: u64) -> u64 {
-        if id == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            id
-        }
-    }
-
-    fn slot(&self, key: u64) -> &AtomicU64 {
-        &self.slots[(key as usize) & (CLAIM_SLOTS - 1)]
-    }
-
-    /// Try to claim `id`'s home slot. The success ordering is `AcqRel`:
-    /// the acquire half pairs with the previous leader's releasing
-    /// store, so a caller that wins a just-vacated slot also observes
-    /// everything that leader published before leaving.
-    fn try_claim(&self, id: u64) -> Claim {
-        let key = Self::slot_key(id);
-        match self
-            .slot(key)
-            .compare_exchange(0, key, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => {
-                self.claims.fetch_add(1, Ordering::Relaxed);
-                Claim::Leader
-            }
-            Err(occupant) if occupant == key => {
+    /// Take `key`, first waiting for any current holder to drop its
+    /// guard.
+    fn lead(&self, key: K) -> Flight<'_, K> {
+        let mut held = self.held.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut waited = false;
+        while held.contains(&key) {
+            if !waited {
+                // Counted under the mutex, before blocking: whoever sees
+                // the join knows this thread is parked on the condvar
+                // (or will be before the holder can free the key).
                 self.joins.fetch_add(1, Ordering::Relaxed);
-                Claim::InFlight
+                waited = true;
             }
-            Err(occupant) => {
-                self.aliased.fetch_add(1, Ordering::Relaxed);
-                Claim::Aliased(occupant)
-            }
+            held = self
+                .freed
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Release a slot this caller leads. Store-release: everything the
-    /// leader published (response caches, replica logs) is visible to
-    /// whoever claims or observes the slot next.
-    fn release(&self, id: u64) {
-        let key = Self::slot_key(id);
-        let _ = self
-            .slot(key)
-            .compare_exchange(key, 0, Ordering::AcqRel, Ordering::Relaxed);
-    }
-
-    /// Wait until the slot's occupant changes from `occupant` — a short
-    /// spin for evaluations racing to publish, then a bounded sleep
-    /// poll. No mutex, no condvar: the follower parks on the leader's
-    /// releasing store, not on a lock.
-    fn wait_change(&self, occupant: u64) {
-        let slot = self.slot(occupant);
-        for _ in 0..64 {
-            if slot.load(Ordering::Acquire) != occupant {
-                return;
-            }
-            std::hint::spin_loop();
+        held.insert(key);
+        Flight {
+            flights: self,
+            key,
+            waited,
         }
-        let mut pause = std::time::Duration::from_micros(50);
-        while slot.load(Ordering::Acquire) == occupant {
-            std::thread::sleep(pause);
-            pause = (pause * 2).min(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// The table's fixed footprint in bytes.
-    fn bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<AtomicU64>()) as u64
     }
 }
 
-/// Releases a leader's claim slot on drop, so a panicking or failed
-/// evaluation never strands its followers: the slot vacates and the next
-/// arrival re-probes the caches and (on a miss) becomes the new leader —
-/// the id stays evaluable.
-struct ClaimGuard<'a> {
-    table: &'a ClaimTable,
-    id: u64,
+/// One held key of a [`SingleFlight`]; dropping it frees the key and
+/// wakes the threads waiting on it.
+struct Flight<'a, K: Copy + Eq + Hash> {
+    flights: &'a SingleFlight<K>,
+    key: K,
+    /// Whether [`SingleFlight::lead`] had to wait for a previous holder.
+    waited: bool,
 }
 
-impl Drop for ClaimGuard<'_> {
+impl<K: Copy + Eq + Hash> Drop for Flight<'_, K> {
     fn drop(&mut self) {
-        self.table.release(self.id);
+        self.flights
+            .held
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        self.flights.freed.notify_all();
     }
 }
 
@@ -287,23 +220,6 @@ pub enum ResponseSource {
     /// An identical request was already in flight on another thread; this
     /// call waited for its result instead of duplicating the work.
     Coalesced,
-}
-
-/// Which structure answers warm probes across *every* replicated cache
-/// layer — the response memo, the point cache, the co-run series cache
-/// and the per-`p` co-run point cache. Cold evaluations publish to
-/// *both* structures, so the mode can be switched at run time (the
-/// loadgen harness A/Bs the two in one process) without losing entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResponseCacheMode {
-    /// NR-lite per-thread replicas of the append-only logs (the
-    /// default): a warm hit on a synced replica takes **zero** mutex
-    /// acquisitions — see [`crate::replica`].
-    Replica,
-    /// The sharded `Mutex<HashMap>` caches — every warm hit takes one
-    /// shard lock. Kept as the measurable pre-replica baseline and the
-    /// A/B escape hatch.
-    Locked,
 }
 
 /// A response plus its provenance, as [`Engine::respond`] reports it —
@@ -366,43 +282,6 @@ fn stripe_index() -> usize {
     STRIPE.with(|s| *s)
 }
 
-/// A sharded hash map: N independent mutexes instead of one, so parallel
-/// grid evaluations rarely contend on the cache.
-struct ShardedCache<K, V> {
-    shards: Vec<Mutex<HashMap<K, V, BuildFnv>>>,
-}
-
-impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
-    fn new() -> Self {
-        ShardedCache {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V, BuildFnv>> {
-        let mut h = Fnv1aHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % SHARDS as u64) as usize]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, value);
-    }
-}
-
 /// Warm-path event counters for one replicated cache layer. Lock
 /// acquisitions and snapshot hits ride the thread-striped counters (they
 /// sit on the warm hot path); syncs are rare by construction.
@@ -422,15 +301,10 @@ impl LayerCounters {
     }
 }
 
-/// One engine cache layer on the NR-lite substrate: the locked sharded
-/// map (the [`ResponseCacheMode::Locked`] baseline) *plus* the
-/// append-only replica log, with per-layer counters. Cold evaluations
-/// [`publish`](ReplicatedCache::publish) to both structures, so the mode
-/// can be flipped at run time without losing entries; warm probes go
-/// through whichever structure the mode selects and account their own
-/// lock cost, making lock-freedom provable per layer.
+/// One engine cache layer on the NR-lite substrate: the append-only
+/// replica log plus its counters. Warm probes account their own lock
+/// cost, making lock-freedom provable per layer.
 struct ReplicatedCache<K, V, S = crate::replica::BuildFnv> {
-    locked: ShardedCache<K, V>,
     log: ReadMostly<K, V, S>,
     counters: LayerCounters,
 }
@@ -443,56 +317,40 @@ where
 {
     fn new() -> Self {
         ReplicatedCache {
-            locked: ShardedCache::new(),
             log: ReadMostly::new(),
             counters: LayerCounters::new(),
         }
     }
 
-    /// Warm probe in the given mode, with lock accounting: a locked-mode
-    /// hit charges its shard lock, a replica-mode hit charges the log
-    /// replay if (and only if) the replica was behind, and a synced
-    /// snapshot hit charges nothing. Misses are the cold path and charge
-    /// nothing — the evaluation they lead into takes locks by design.
-    fn probe(&self, key: &K, mode: ResponseCacheMode) -> Option<V> {
-        match mode {
-            ResponseCacheMode::Locked => {
-                let value = self.locked.get(key);
-                if value.is_some() {
-                    self.counters.warm_locks.add(1);
-                }
-                value
-            }
-            ResponseCacheMode::Replica => {
-                let read = self.log.get(key);
-                if read.synced {
-                    self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-                }
-                if read.value.is_some() {
-                    if read.locks == 0 {
-                        self.counters.snapshot_hits.add(1);
-                    } else {
-                        self.counters.warm_locks.add(read.locks);
-                    }
-                }
-                read.value
+    /// Warm probe with lock accounting: a hit charges the log replay if
+    /// (and only if) the replica was behind, and a synced snapshot hit
+    /// charges nothing. Misses are the cold path and charge nothing —
+    /// the evaluation they lead into takes locks by design.
+    fn probe(&self, key: &K) -> Option<V> {
+        let read = self.log.get(key);
+        if read.synced {
+            self.counters.syncs.fetch_add(1, Ordering::Relaxed);
+        }
+        if read.value.is_some() {
+            if read.locks == 0 {
+                self.counters.snapshot_hits.add(1);
+            } else {
+                self.counters.warm_locks.add(read.locks);
             }
         }
+        read.value
     }
 
     /// Existence probe (the planner's dry run) — same accounting as
     /// [`probe`](ReplicatedCache::probe), so plan-time reads show up in
     /// the per-layer ledger too.
-    fn contains(&self, key: &K, mode: ResponseCacheMode) -> bool {
-        self.probe(key, mode).is_some()
+    fn contains(&self, key: &K) -> bool {
+        self.probe(key).is_some()
     }
 
-    /// Publish a cold result to both structures. First write wins in the
-    /// log (duplicate publishes from double-checked racers or store
-    /// loads do not grow it); the locked map insert is idempotent
-    /// because engine values are deterministic per key.
+    /// Publish a cold result. First write wins in the log, so racing A2
+    /// series assemblies (which lead no flight) append one record.
     fn publish(&self, key: K, value: V) {
-        self.locked.insert(key.clone(), value.clone());
         self.log.publish(key, value);
     }
 
@@ -555,10 +413,8 @@ pub struct EngineStats {
     pub sweep_skipped: u64,
     /// Mutex acquisitions performed by warm probes that were answered
     /// with a value, summed across every cache layer (the aggregate of
-    /// `layers`). In [`ResponseCacheMode::Locked`] every warm hit takes
-    /// at least one shard lock; in [`ResponseCacheMode::Replica`] a
-    /// synced replica hit takes zero — the counter the loadgen warm
-    /// phases prove stays flat.
+    /// `layers`). A synced replica hit takes zero — the counter the
+    /// loadgen warm phases prove stays flat.
     pub warm_lock_acquisitions: u64,
     /// Distinct records appended to the replica logs, summed across
     /// layers (publication is first-write-wins, so per layer this equals
@@ -571,23 +427,20 @@ pub struct EngineStats {
     /// Warm reads answered wait-free from an already-synced replica
     /// snapshot — zero mutex acquisitions — summed across layers.
     pub replica_snapshot_hits: u64,
-    /// Shallow bytes held by the append-only replica logs plus the
-    /// claim table's fixed slot array, summed across layers. Bounded by
-    /// distinct published keys, not by request traffic.
+    /// Shallow bytes held by the append-only replica logs, summed across
+    /// layers. Bounded by distinct published keys, not by request
+    /// traffic.
     pub replica_log_bytes: u64,
     /// The per-layer ledger behind the aggregates above, indexed by
-    /// [`CacheLayer`] — response, point, series, corun, in-flight — so
+    /// [`CacheLayer`] — response, point, series, corun — so
     /// lock-freedom is provable layer by layer.
-    pub layers: [CacheLayerStats; 5],
-    /// Leader claims won in the in-flight claim table (one per cold
-    /// request-id evaluation attempt).
+    pub layers: [CacheLayerStats; 4],
+    /// Request ids whose single-flight leader found them still cold and
+    /// evaluated (one per cold request-id evaluation attempt).
     pub inflight_claims: u64,
-    /// Arrivals that found their id already claimed and waited for the
-    /// leader's publish without taking a lock (the coalescing path).
+    /// Arrivals that found their request id held by another thread's
+    /// flight and waited for it (the coalescing path).
     pub inflight_joins: u64,
-    /// Waits on a home slot occupied by a *different* id (slot aliasing
-    /// — a latency rarity at 1024 slots, never a correctness event).
-    pub inflight_aliased: u64,
 }
 
 impl EngineStats {
@@ -652,9 +505,9 @@ pub struct Engine {
     series: ReplicatedCache<CorunConfig, Arc<CorunSeries>>,
     corun_pts: ReplicatedCache<(CorunConfig, u32), CorunPoint>,
     responses: ReplicatedCache<u64, Arc<Response>, BuildId>,
-    cache_mode: AtomicU8,
-    inflight: ClaimTable,
-    eval_locks: Vec<Mutex<()>>,
+    request_flights: SingleFlight<u64>,
+    item_flights: SingleFlight<WorkItem>,
+    inflight_claims: AtomicU64,
     stage_log: Mutex<Vec<StageTiming>>,
     requests: Striped,
     response_hits: Striped,
@@ -704,9 +557,9 @@ impl Engine {
             series: ReplicatedCache::new(),
             corun_pts: ReplicatedCache::new(),
             responses: ReplicatedCache::new(),
-            cache_mode: AtomicU8::new(0),
-            inflight: ClaimTable::new(),
-            eval_locks: (0..EVAL_STRIPES).map(|_| Mutex::new(())).collect(),
+            request_flights: SingleFlight::new(),
+            item_flights: SingleFlight::new(),
+            inflight_claims: AtomicU64::new(0),
             stage_log: Mutex::new(Vec::new()),
             requests: Striped::new(),
             response_hits: Striped::new(),
@@ -765,24 +618,11 @@ impl Engine {
     /// (`layers`, indexed by [`CacheLayer`]) whose sums the aggregate
     /// `warm_lock_acquisitions` / `replica_*` fields report.
     pub fn stats(&self) -> EngineStats {
-        // The claim table is lock-free by construction, so its layer row
-        // carries a structurally-zero lock count (the gate that catches a
-        // reintroduced mutex) and its fixed slot-array footprint as log
-        // bytes; claim/join/alias traffic reports through the dedicated
-        // `inflight_*` fields, not the replica record counters.
-        let inflight = CacheLayerStats {
-            warm_lock_acquisitions: 0,
-            replica_published: 0,
-            replica_syncs: 0,
-            replica_snapshot_hits: 0,
-            replica_log_bytes: self.inflight.bytes(),
-        };
         let layers = [
             self.responses.stats(),
             self.points.stats(),
             self.series.stats(),
             self.corun_pts.stats(),
-            inflight,
         ];
         let mut total = CacheLayerStats::default();
         for layer in &layers {
@@ -808,28 +648,9 @@ impl Engine {
             replica_snapshot_hits: total.replica_snapshot_hits,
             replica_log_bytes: total.replica_log_bytes,
             layers,
-            inflight_claims: self.inflight.claims.load(Ordering::Relaxed),
-            inflight_joins: self.inflight.joins.load(Ordering::Relaxed),
-            inflight_aliased: self.inflight.aliased.load(Ordering::Relaxed),
+            inflight_claims: self.inflight_claims.load(Ordering::Relaxed),
+            inflight_joins: self.request_flights.joins.load(Ordering::Relaxed),
         }
-    }
-
-    /// Which structure currently answers warm [`Engine::respond`] probes.
-    pub fn response_cache_mode(&self) -> ResponseCacheMode {
-        if self.cache_mode.load(Ordering::Relaxed) == 1 {
-            ResponseCacheMode::Locked
-        } else {
-            ResponseCacheMode::Replica
-        }
-    }
-
-    /// Switch the warm-path structure at run time. Cold evaluations write
-    /// to both structures, so switching never loses entries — the loadgen
-    /// harness uses this to measure the locked baseline and the replica
-    /// path in one process.
-    pub fn set_response_cache_mode(&self, mode: ResponseCacheMode) {
-        let raw = matches!(mode, ResponseCacheMode::Locked) as u8;
-        self.cache_mode.store(raw, Ordering::Relaxed);
     }
 
     /// Per-stage wall-clock and work accounting for every plan this
@@ -896,67 +717,42 @@ impl Engine {
     /// id across thousands of calls, so the warm path's cost is the cache
     /// probe itself, not the canonical render feeding the hash.
     ///
-    /// Lock ledger: the warm path takes **zero** mutexes end to end in
-    /// [`ResponseCacheMode::Replica`] — the response probe is a replica
-    /// snapshot read, and single-flight claiming/joining/releasing are
-    /// all atomics on the claim table. Followers of an in-flight leader
-    /// spin-then-sleep on the leader's releasing store (never on a lock)
-    /// and then re-probe the caches the leader populated *before*
-    /// releasing.
+    /// Lock ledger: the warm path takes **zero** mutexes end to end — the
+    /// response probe is a replica snapshot read and a hit returns before
+    /// the single flight is touched. A cold id leads the request-id
+    /// flight; duplicates arriving meanwhile wait for it and re-probe the
+    /// response the leader published *before* releasing.
     pub fn respond_with_id(&self, request: &Request, id: u64) -> Result<Responded> {
         request.validate()?;
         self.requests.add(1);
-        let mode = self.response_cache_mode();
-        let mut waited = false;
-        loop {
-            if let Some(response) = self.responses.probe(&id, mode) {
-                return Ok(self.warm_hit(response, waited));
-            }
-            match self.inflight.try_claim(id) {
-                Claim::Leader => {
-                    let guard = ClaimGuard {
-                        table: &self.inflight,
-                        id,
-                    };
-                    // Re-probe after winning the claim: the previous
-                    // leader published to both cache structures before
-                    // releasing the slot, and the winning CAS's acquire
-                    // pairs with that release — so a miss here means the
-                    // id is genuinely cold, not mid-publication.
-                    if let Some(response) = self.responses.probe(&id, mode) {
-                        drop(guard);
-                        return Ok(self.warm_hit(response, waited));
-                    }
-                    let evals_before = self.evaluated.load(Ordering::Relaxed);
-                    // On error (or panic) the guard releases the slot
-                    // without a publication; waiting followers re-probe,
-                    // miss, and re-claim — the id stays evaluable and
-                    // each caller observes its own attempt's outcome.
-                    let response = self.evaluate(request, id)?;
-                    drop(guard);
-                    return Ok(Responded {
-                        response,
-                        source: ResponseSource::Fresh,
-                        evals: self
-                            .evaluated
-                            .load(Ordering::Relaxed)
-                            .saturating_sub(evals_before),
-                    });
-                }
-                Claim::InFlight => {
-                    waited = true;
-                    self.inflight.wait_change(ClaimTable::slot_key(id));
-                }
-                Claim::Aliased(occupant) => {
-                    self.inflight.wait_change(occupant);
-                }
-            }
+        if let Some(response) = self.responses.probe(&id) {
+            return Ok(self.warm_hit(response, false));
         }
+        let flight = self.request_flights.lead(id);
+        if let Some(response) = self.responses.probe(&id) {
+            return Ok(self.warm_hit(response, flight.waited));
+        }
+        self.inflight_claims.fetch_add(1, Ordering::Relaxed);
+        let evals_before = self.evaluated.load(Ordering::Relaxed);
+        // On error (or panic) the flight frees the id without a
+        // publication; a waiting duplicate re-probes, misses, and
+        // evaluates itself — the id stays evaluable and each caller
+        // observes its own attempt's outcome.
+        let response = self.evaluate(request, id)?;
+        drop(flight);
+        Ok(Responded {
+            response,
+            source: ResponseSource::Fresh,
+            evals: self
+                .evaluated
+                .load(Ordering::Relaxed)
+                .saturating_sub(evals_before),
+        })
     }
 
     /// Plan and execute one cold request, publishing the assembled
-    /// response to both warm structures (the single-flight leader's
-    /// body) — and doing so *before* the caller releases its claim slot.
+    /// response (the single-flight leader's body) — and doing so
+    /// *before* the caller releases its flight.
     fn evaluate(&self, request: &Request, id: u64) -> Result<Arc<Response>> {
         let plan = Planner::new(self).plan(request)?;
         let mut responses = Executor::new(self).run(&plan)?;
@@ -1008,17 +804,6 @@ impl Engine {
         replayed.load(Ordering::Relaxed) as usize
     }
 
-    /// Lock the evaluation stripe for a cache key: at most one thread
-    /// evaluates a given work item; racing threads take the stripe after
-    /// the leader and re-probe the cache (double-checked locking).
-    fn eval_stripe(&self, key: &impl Hash) -> std::sync::MutexGuard<'_, ()> {
-        let mut h = Fnv1aHasher::default();
-        key.hash(&mut h);
-        self.eval_locks[(h.finish() % EVAL_STRIPES as u64) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Lower a request into its plan without executing anything (the
     /// `ghr plan` dry run).
     pub fn plan(&self, request: &Request) -> Result<Plan> {
@@ -1036,17 +821,15 @@ impl Engine {
     // -----------------------------------------------------------------
 
     /// Whether `item` would be answered from a cache right now — the
-    /// planner's probe. Goes through the active [`ResponseCacheMode`]
-    /// like every other warm read (in replica mode a synced replica
+    /// planner's probe. A warm read like any other (a synced replica
     /// answers with zero locks), so plan-time probes appear in the
     /// per-layer lock ledger too.
     pub(crate) fn probe_item(&self, item: &WorkItem) -> bool {
-        let mode = self.response_cache_mode();
         let in_memory = match item {
-            WorkItem::CorunSeries(cfg) => self.series.contains(cfg, mode),
-            WorkItem::CorunPoint(cfg, i) => self.corun_pts.contains(&(*cfg, *i), mode),
+            WorkItem::CorunSeries(cfg) => self.series.contains(cfg),
+            WorkItem::CorunPoint(cfg, i) => self.corun_pts.contains(&(*cfg, *i)),
             WorkItem::Gpu { .. } | WorkItem::WhatIf { .. } | WorkItem::Kernel { .. } => {
-                self.points.contains(item, mode)
+                self.points.contains(item)
             }
         };
         in_memory
@@ -1154,21 +937,17 @@ impl Engine {
 
     /// Memoized scalar evaluation: in-process cache, then the persistent
     /// store, then `eval` (whose result feeds both). The miss path runs
-    /// under the key's evaluation stripe, so concurrent requests racing on
-    /// the same point evaluate it once — the losers re-probe the cache
-    /// after the leader's insert and count a hit.
+    /// under the item's flight, so concurrent requests racing on the
+    /// same point evaluate it once — the losers re-probe the cache after
+    /// the leader's publish and count a hit.
     fn cached(&self, key: WorkItem, eval: impl FnOnce() -> Result<f64>) -> Result<f64> {
-        let mode = self.response_cache_mode();
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.points.probe(&key, mode) {
+        if let Some(v) = self.points.probe(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(v);
         }
-        let stripe = self.eval_stripe(&key);
-        // The stripe mutex orders the leader's publish before this
-        // re-probe, so a racing loser's replica read observes the fresh
-        // log version and syncs to a hit.
-        if let Some(v) = self.points.probe(&key, mode) {
+        let flight = self.item_flights.lead(key);
+        if let Some(v) = self.points.probe(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(v);
         }
@@ -1181,7 +960,7 @@ impl Engine {
         self.evaluated.fetch_add(1, Ordering::Relaxed);
         self.store_put(skey, store::encode_f64(v));
         self.points.publish(key, v);
-        drop(stripe);
+        drop(flight);
         Ok(v)
     }
 
@@ -1307,22 +1086,21 @@ impl Engine {
     /// from its independently cached per-`p` points — when the executor
     /// has already fanned those points, this is pure cache traffic.
     pub(crate) fn corun_series(&self, config: &CorunConfig) -> Result<Arc<CorunSeries>> {
-        let mode = self.response_cache_mode();
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.series.probe(config, mode) {
+        if let Some(s) = self.series.probe(config) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(s);
         }
         let s = match config.alloc {
             AllocSite::A1 => {
-                // An A1 series is one atomic work item: take its stripe so
-                // concurrent requests evaluate it once. (The A2 arm below
-                // takes no stripe — its points each take their own inside
-                // `corun_point_a2`, and holding a series stripe across
-                // those would nest stripe acquisitions.)
+                // An A1 series is one atomic work item: lead its flight
+                // so concurrent requests evaluate it once. (The A2 arm
+                // below leads nothing — its points each lead their own
+                // inside `corun_point_a2`, and a series holder must not
+                // wait on other keys.)
                 let item = WorkItem::CorunSeries(*config);
-                let stripe = self.eval_stripe(&item);
-                if let Some(s) = self.series.probe(config, mode) {
+                let flight = self.item_flights.lead(item);
+                if let Some(s) = self.series.probe(config) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(s);
                 }
@@ -1339,7 +1117,7 @@ impl Engine {
                     s
                 };
                 self.series.publish(*config, Arc::clone(&s));
-                drop(stripe);
+                drop(flight);
                 return Ok(s);
             }
             AllocSite::A2 => {
@@ -1364,16 +1142,15 @@ impl Engine {
     /// [`run_corun`] loop (each A2 iteration re-allocates, so no state
     /// crosses `p`; see [`run_corun_point`]).
     fn corun_point_a2(&self, config: &CorunConfig, i: u32) -> Result<CorunPoint> {
-        let mode = self.response_cache_mode();
         let key = (*config, i);
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.corun_pts.probe(&key, mode) {
+        if let Some(p) = self.corun_pts.probe(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p);
         }
         let item = WorkItem::CorunPoint(*config, i);
-        let stripe = self.eval_stripe(&item);
-        if let Some(p) = self.corun_pts.probe(&key, mode) {
+        let flight = self.item_flights.lead(item);
+        if let Some(p) = self.corun_pts.probe(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p);
         }
@@ -1386,7 +1163,7 @@ impl Engine {
         self.evaluated.fetch_add(1, Ordering::Relaxed);
         self.store_put(skey, store::encode_corun_point(&p));
         self.corun_pts.publish(key, p);
-        drop(stripe);
+        drop(flight);
         Ok(p)
     }
 
@@ -2042,6 +1819,60 @@ mod tests {
         // the response cache, depending on timing — never re-evaluate.
         assert_eq!(st.evaluated, 8, "{st:?}");
         assert_eq!(st.response_hits + st.coalesced, 3, "{st:?}");
+    }
+
+    #[test]
+    fn a_panicking_holder_frees_its_key() {
+        let flights = SingleFlight::<u64>::new();
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _flight = flights.lead(7);
+                panic!("evaluation failed mid-flight");
+            })
+            .join()
+        });
+        assert!(joined.is_err(), "the holder must have panicked");
+        assert!(
+            flights.held.lock().unwrap().is_empty(),
+            "the unwinding guard must free its key"
+        );
+        assert!(!flights.lead(7).waited, "the next lead must not wait");
+        assert_eq!(flights.joins.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn holding_one_key_never_delays_another() {
+        let flights = SingleFlight::<u64>::new();
+        let a = flights.lead(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(flights.lead(2).waited).unwrap());
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            // Free key 1 before asserting, so a broken primitive fails
+            // the test instead of hanging the scope's join.
+            drop(a);
+            assert_eq!(got, Ok(false), "lead(2) must not wait behind key 1");
+        });
+        assert_eq!(flights.joins.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_waiter_reports_waited_once_the_holder_drops() {
+        let flights = SingleFlight::<u64>::new();
+        let holder = flights.lead(9);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| flights.lead(9).waited);
+            // The join is counted under the key set's mutex before the
+            // waiter blocks, so once it shows, the waiter is parked (or
+            // about to be) and cannot miss the release below.
+            while flights.joins.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            drop(holder);
+            assert!(waiter.join().unwrap(), "the waiter must report waited");
+        });
+        assert_eq!(flights.joins.load(Ordering::Relaxed), 1);
+        assert!(flights.held.lock().unwrap().is_empty());
     }
 
     #[test]

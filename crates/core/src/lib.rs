@@ -54,7 +54,7 @@ pub mod workload;
 
 pub use case::Case;
 pub use corun::{AllocSite, CorunConfig, CorunSeries};
-pub use engine::{Engine, EngineStats, Responded, ResponseCacheMode, ResponseSource};
+pub use engine::{Engine, EngineStats, Responded, ResponseSource};
 pub use exec::Executor;
 pub use kernels::{Placement, WorkloadPoint, WorkloadResult};
 pub use loadgen::{LoadReport, LoadgenConfig};

@@ -23,13 +23,12 @@
 //! * **open-loop arrival** — requests are *scheduled* at a fixed rate
 //!   and latency is measured from the scheduled arrival time, so queue
 //!   delay is part of the number (the coordinated-omission-free model);
-//! * **phases** — a cold pass over the whole catalog, a warm pass
-//!   against the locked baseline cache, a warm pass against the
-//!   replica path (one run records both sides of the A/B and their
-//!   speedup), and a `warm_recombine` pass of *new* request ids
-//!   assembled entirely from already-published work items, which
-//!   drives warm traffic through the point/series/corun layers and
-//!   must report zero warm lock acquisitions on every layer.
+//! * **phases** — a cold pass over the whole catalog, a warm zipf pass
+//!   over the replica-backed caches, and a `warm_recombine` pass of
+//!   *new* request ids assembled entirely from already-published work
+//!   items, which drives warm traffic through the point/series/corun
+//!   layers; both warm passes must report zero warm lock acquisitions
+//!   on every layer.
 //!
 //! Everything here is deterministic given the seed (its own SplitMix64;
 //! the workspace has no RNG dependency) and std-only, and the report
@@ -44,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use crate::case::Case;
 use crate::corun::{AllocSite, CorunConfig};
-use crate::engine::{Engine, EngineStats, ResponseCacheMode};
+use crate::engine::{Engine, EngineStats};
 use crate::kernels::{workload_m, GEMV_COLS_DEFAULT};
 use crate::reduction::KernelKind;
 use crate::request::Request;
@@ -417,13 +416,13 @@ pub struct HotPathDelta {
     /// Wait-free replica snapshot hits.
     pub replica_snapshot_hits: u64,
     /// Warm lock acquisitions per cache layer, in [`CacheLayer::ALL`]
-    /// order (response, point, series, corun, inflight) — all five zero
-    /// proves lock-freedom layer by layer, not just in aggregate.
-    pub warm_locks: [u64; 5],
+    /// order (response, point, series, corun) — all four zero proves
+    /// lock-freedom layer by layer, not just in aggregate.
+    pub warm_locks: [u64; 4],
 }
 
 fn hot_path_delta(before: &EngineStats, after: &EngineStats) -> HotPathDelta {
-    let mut warm_locks = [0u64; 5];
+    let mut warm_locks = [0u64; 4];
     for (slot, layer) in warm_locks.iter_mut().zip(CacheLayer::ALL) {
         *slot =
             after.layer(layer).warm_lock_acquisitions - before.layer(layer).warm_lock_acquisitions;
@@ -506,9 +505,6 @@ pub struct LoadReport {
     pub seed: u64,
     /// The phases, in execution order.
     pub phases: Vec<PhaseReport>,
-    /// Warm replica throughput over warm locked-baseline throughput,
-    /// when the run measured both.
-    pub warm_speedup_vs_locked: Option<f64>,
 }
 
 impl LoadReport {
@@ -594,12 +590,7 @@ impl LoadReport {
             }
             out.push('\n');
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"warm_speedup_vs_locked\": {}\n}}\n",
-            self.warm_speedup_vs_locked
-                .map_or("null".to_string(), json_f64),
-        ));
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -781,14 +772,11 @@ impl LoadConn for EngineConn<'_> {
 }
 
 /// Drive a load run against an in-process engine: a cold closed-loop
-/// pass over the whole class catalog, a warm phase against the locked
-/// baseline cache, a warm phase against the replica path (each warm
-/// phase replays the same zipf schedule, so the A/B is
-/// apples-to-apples), and a `warm_recombine` phase that issues each
+/// pass over the whole class catalog, a warm phase replaying a zipf
+/// schedule over it, and a `warm_recombine` phase that issues each
 /// recombined request id exactly once — new responses assembled purely
 /// from warm item caches, proving the point/series/corun layers
-/// lock-free under traffic. The engine is left in
-/// [`ResponseCacheMode::Replica`].
+/// lock-free under traffic.
 pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     let n = cfg.catalog.max(1);
     let conns = cfg.conns.max(1);
@@ -827,14 +815,12 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
     };
 
     let run = |name: &str,
-               mode: ResponseCacheMode,
                catalog: &[(Request, u64)],
                classes: &[&str],
                schedule: &[usize],
                warmup: &[usize],
                arrival: Arrival|
      -> Result<PhaseReport, String> {
-        engine.set_response_cache_mode(mode);
         let before = std::cell::Cell::new(engine.stats());
         let metrics = run_phase(
             &PhaseSpec {
@@ -867,28 +853,17 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
     let phases = vec![
         run(
             "cold",
-            ResponseCacheMode::Replica,
             &catalog,
             &classes,
             &cold_schedule,
             &[],
             Arrival::Closed,
         )?,
-        run(
-            "warm_locked",
-            ResponseCacheMode::Locked,
-            &catalog,
-            &classes,
-            &warm_schedule,
-            &[0],
-            warm_arrival,
-        )?,
         // One untimed read per connection plus the prepare() sync brings
         // every replica past every cold publication, so the timed
         // section is pure snapshot hits.
         run(
             "warm",
-            ResponseCacheMode::Replica,
             &catalog,
             &classes,
             &warm_schedule,
@@ -897,7 +872,6 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
         )?,
         run(
             "warm_recombine",
-            ResponseCacheMode::Replica,
             &recombined,
             &recombine_classes,
             &recombine_schedule,
@@ -905,15 +879,6 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
             Arrival::Closed,
         )?,
     ];
-    engine.set_response_cache_mode(ResponseCacheMode::Replica);
-
-    let warm_speedup_vs_locked = match (
-        phases[1].metrics.throughput_rps,
-        phases[2].metrics.throughput_rps,
-    ) {
-        (locked, warm) if locked > 0.0 && warm > 0.0 => Some(warm / locked),
-        _ => None,
-    };
     Ok(LoadReport {
         mode: "in-process".to_string(),
         label: cfg.label.clone(),
@@ -922,7 +887,6 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
         zipf_s: cfg.zipf_s,
         seed: cfg.seed,
         phases,
-        warm_speedup_vs_locked,
     })
 }
 
@@ -931,6 +895,7 @@ mod tests {
     use super::*;
     use crate::engine::ResponseSource;
     use ghr_machine::MachineConfig;
+    use ghr_types::Json;
 
     #[test]
     fn splitmix_is_deterministic_and_in_range() {
@@ -1072,13 +1037,13 @@ mod tests {
             report.to_json().contains("\"label\": \"unit-run\""),
             "label must be stamped into the JSON report"
         );
-        assert_eq!(report.phases.len(), 4);
+        assert_eq!(report.phases.len(), 3);
         let names: Vec<&str> = report
             .phases
             .iter()
             .map(|p| p.metrics.name.as_str())
             .collect();
-        assert_eq!(names, ["cold", "warm_locked", "warm", "warm_recombine"]);
+        assert_eq!(names, ["cold", "warm", "warm_recombine"]);
         let cold = &report.phases[0];
         assert_eq!(cold.metrics.ok, 8);
         assert!(cold.hot_path.unwrap().evaluated > 0);
@@ -1095,36 +1060,28 @@ mod tests {
         }
         let class_ok: u64 = cold.metrics.classes.iter().map(|c| c.ok).sum();
         assert_eq!(class_ok, cold.metrics.ok);
-        for warm in &report.phases[1..3] {
-            assert_eq!(warm.metrics.ok, 200, "{}", warm.metrics.name);
-            assert_eq!(warm.metrics.errors, 0);
-            assert!(warm.metrics.throughput_rps > 0.0);
-            assert!(warm.metrics.p99_ms >= warm.metrics.p50_ms);
-            assert!(!warm.metrics.classes.is_empty());
-            let hp = warm.hot_path.unwrap();
-            assert_eq!(hp.evaluated, 0, "warm phases must be pure cache traffic");
-            assert_eq!(hp.response_hits + hp.coalesced, 200);
-        }
-        let locked = report.phases[1].hot_path.unwrap();
-        assert!(
-            locked.warm_lock_acquisitions >= locked.response_hits,
-            "every locked warm hit takes at least one lock: {locked:?}"
+        let warm = &report.phases[1];
+        assert_eq!(warm.metrics.ok, 200);
+        assert_eq!(warm.metrics.errors, 0);
+        assert!(warm.metrics.throughput_rps > 0.0);
+        assert!(warm.metrics.p99_ms >= warm.metrics.p50_ms);
+        assert!(!warm.metrics.classes.is_empty());
+        let warm = warm.hot_path.unwrap();
+        assert_eq!(
+            warm.evaluated, 0,
+            "the warm phase must be pure cache traffic"
         );
-        assert!(
-            locked.warm_locks[CacheLayer::Response as usize] >= locked.response_hits,
-            "the locked cost lands on the response layer: {locked:?}"
-        );
-        let warm = report.phases[2].hot_path.unwrap();
+        assert_eq!(warm.response_hits + warm.coalesced, 200);
         assert_eq!(
             warm.warm_lock_acquisitions, 0,
-            "replica warm phase must be lock-free: {warm:?}"
+            "the warm phase must be lock-free: {warm:?}"
         );
-        assert_eq!(warm.warm_locks, [0; 5], "lock-free on every layer");
+        assert_eq!(warm.warm_locks, [0; 4], "lock-free on every layer");
         assert_eq!(warm.replica_snapshot_hits, warm.response_hits);
         // The recombine phase: every id is new (zero response hits), no
         // fresh evaluation, and no layer takes a warm lock — the
         // point/series/corun replicas answer the whole assembly.
-        let recombine = &report.phases[3];
+        let recombine = &report.phases[2];
         assert!(recombine.metrics.ok > 0);
         assert_eq!(recombine.metrics.errors, 0);
         assert!(!recombine.metrics.classes.is_empty());
@@ -1132,19 +1089,13 @@ mod tests {
         assert_eq!(hp.evaluated, 0, "recombined ids assemble from warm caches");
         assert_eq!(hp.response_hits, 0, "every recombined id is new");
         assert_eq!(
-            hp.warm_locks, [0; 5],
+            hp.warm_locks, [0; 4],
             "recombine phase must be lock-free on every layer: {hp:?}"
-        );
-        assert!(report.warm_speedup_vs_locked.is_some());
-        assert_eq!(
-            engine.response_cache_mode(),
-            crate::engine::ResponseCacheMode::Replica
         );
         let json = report.to_json();
         for key in [
             "\"bench\": \"loadgen\"",
             "\"name\": \"cold\"",
-            "\"name\": \"warm_locked\"",
             "\"name\": \"warm\"",
             "\"name\": \"warm_recombine\"",
             "\"p50\"",
@@ -1157,11 +1108,11 @@ mod tests {
             "\"name\": \"what-if\"",
             "\"warm_lock_acquisitions\": 0",
             "\"warm_locks\": {\"response\": 0, \"point\": 0, \"series\": 0, \
-             \"corun\": 0, \"inflight\": 0}",
-            "\"warm_speedup_vs_locked\"",
+             \"corun\": 0}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        Json::parse(&json).expect("the report parses back");
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Hasher for IdHasher {
 pub type BuildId = BuildHasherDefault<IdHasher>;
 
 /// Hasher state for structured keys (work items, co-run configs):
-/// deterministic FNV-1a, same as the sharded caches.
+/// deterministic FNV-1a, same as the machine fingerprint.
 pub type BuildFnv = BuildHasherDefault<crate::engine::Fnv1aHasher>;
 
 /// Process-wide allocator of cell ids. Ids are never reused, so a stale

@@ -1,11 +1,9 @@
 //! Small online-statistics helpers used by harnesses and benches, plus
 //! the per-cache-layer warm-path ledger the engine reports.
 
-/// The engine's warm-path cache layers, in reporting order. The first
-/// four are NR-lite replicated maps (response memo, GPU point cache,
-/// co-run series cache, per-`p` co-run point cache); the fifth is the
-/// lock-free in-flight claim table that replaced the single-flight
-/// mutex map.
+/// The engine's warm-path cache layers, in reporting order: four NR-lite
+/// replicated maps (response memo, GPU point cache, co-run series cache,
+/// per-`p` co-run point cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheLayer {
     /// Whole-response memo keyed by request id.
@@ -16,18 +14,15 @@ pub enum CacheLayer {
     Series = 2,
     /// Per-`p` A2 co-run point cache.
     Corun = 3,
-    /// Single-flight in-flight claim table.
-    Inflight = 4,
 }
 
 impl CacheLayer {
     /// Every layer, in reporting order.
-    pub const ALL: [CacheLayer; 5] = [
+    pub const ALL: [CacheLayer; 4] = [
         CacheLayer::Response,
         CacheLayer::Point,
         CacheLayer::Series,
         CacheLayer::Corun,
-        CacheLayer::Inflight,
     ];
 
     /// Stable lowercase name used in JSON and table output.
@@ -37,7 +32,6 @@ impl CacheLayer {
             CacheLayer::Point => "point",
             CacheLayer::Series => "series",
             CacheLayer::Corun => "corun",
-            CacheLayer::Inflight => "inflight",
         }
     }
 }
@@ -49,9 +43,8 @@ impl CacheLayer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLayerStats {
     /// Mutex acquisitions performed by warm probes of this layer that
-    /// were answered with a value. Zero in replica mode once the
-    /// reader's replica is synced; the in-flight claim table never
-    /// takes a lock, so its entry is structurally zero.
+    /// were answered with a value. Zero once the reader's replica is
+    /// synced.
     pub warm_lock_acquisitions: u64,
     /// Distinct records appended to this layer's replica log
     /// (publication is first-write-wins, so this equals the number of
@@ -64,8 +57,7 @@ pub struct CacheLayerStats {
     /// snapshot — zero mutex acquisitions.
     pub replica_snapshot_hits: u64,
     /// Shallow bytes held by this layer's append-only log (bounded by
-    /// distinct published keys; for the claim table, its fixed slot
-    /// array).
+    /// distinct published keys).
     pub replica_log_bytes: u64,
 }
 

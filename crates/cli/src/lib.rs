@@ -284,7 +284,7 @@ pub fn run(cmd: &str, rest: &[String]) -> Result<String, String> {
                 s.requests,
                 s.response_hits,
                 s.coalesced,
-                engine.stage_timings().len()
+                engine.stages_executed()
             );
             let _ = writeln!(
                 out,

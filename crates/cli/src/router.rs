@@ -724,8 +724,8 @@ mod socket {
         /// No frame read on it yet: a failure now means the worker is
         /// dead, not that a long-lived connection went stale.
         fresh: bool,
-        /// Why a write failed; the next read from this connection fails
-        /// with it instead.
+        /// Why a write failed. Frames the worker sent before it closed
+        /// are still read; the first read that fails reports this.
         broken: Option<String>,
     }
 
@@ -759,10 +759,8 @@ mod socket {
 
         /// The next frame on the wire, or why there is none.
         fn read(&mut self) -> Result<Vec<u8>, String> {
-            match self.broken.take() {
-                Some(e) => Err(e),
-                None => read_frame(&mut self.reader).map_err(|e| e.to_string()),
-            }
+            read_frame(&mut self.reader)
+                .map_err(|e| self.broken.take().unwrap_or_else(|| e.to_string()))
         }
     }
 

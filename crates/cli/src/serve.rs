@@ -361,6 +361,9 @@ pub fn serve_session(
         };
         write_frame(out, &id, status, &body, evals, cached)
             .map_err(|e| format!("serve: write failed: {e}"))?;
+        // The client has its answer now; the flush after it is not part
+        // of the request's time.
+        let ms = t0.elapsed().as_secs_f64() * 1000.0;
         if let Err(e) = engine.flush_store() {
             let _ = writeln!(
                 err,
@@ -369,8 +372,7 @@ pub fn serve_session(
         }
         let _ = writeln!(
             err,
-            "serve[{session}]: {line} -> {status} id={id} evals={evals} cached={cached} {:.1} ms",
-            t0.elapsed().as_secs_f64() * 1000.0
+            "serve[{session}]: {line} -> {status} id={id} evals={evals} cached={cached} {ms:.1} ms"
         );
         if shutdown.load(Ordering::SeqCst) {
             break;

@@ -54,7 +54,7 @@
 //! so a second `ghr all` in another process answers from disk instead of
 //! re-evaluating.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -280,6 +280,28 @@ fn stripe_index() -> usize {
             (NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES as u64) as usize;
     }
     STRIPE.with(|s| *s)
+}
+
+/// Stage timings an engine keeps: a server runs cold plans for its whole
+/// life, so only the most recent ones are held.
+const STAGE_LOG_CAP: usize = 4096;
+
+/// The most recent [`STAGE_LOG_CAP`] stage timings, oldest first, plus the
+/// lifetime count of stages executed.
+#[derive(Default)]
+struct StageLog {
+    recent: VecDeque<StageTiming>,
+    total: u64,
+}
+
+impl StageLog {
+    fn push(&mut self, timing: StageTiming) {
+        if self.recent.len() == STAGE_LOG_CAP {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(timing);
+        self.total += 1;
+    }
 }
 
 /// Warm-path event counters for one replicated cache layer. Lock
@@ -508,7 +530,7 @@ pub struct Engine {
     request_flights: SingleFlight<u64>,
     item_flights: SingleFlight<WorkItem>,
     inflight_claims: AtomicU64,
-    stage_log: Mutex<Vec<StageTiming>>,
+    stage_log: Mutex<StageLog>,
     requests: Striped,
     response_hits: Striped,
     coalesced: AtomicU64,
@@ -560,7 +582,7 @@ impl Engine {
             request_flights: SingleFlight::new(),
             item_flights: SingleFlight::new(),
             inflight_claims: AtomicU64::new(0),
-            stage_log: Mutex::new(Vec::new()),
+            stage_log: Mutex::new(StageLog::default()),
             requests: Striped::new(),
             response_hits: Striped::new(),
             coalesced: AtomicU64::new(0),
@@ -653,20 +675,27 @@ impl Engine {
         }
     }
 
-    /// Per-stage wall-clock and work accounting for every plan this
-    /// engine has executed, in execution order (`--stats-json` reads it).
+    /// Per-stage wall-clock and work accounting for the most recent plans
+    /// this engine executed (up to 4096 stages), in execution order
+    /// (`--stats-json` reads it).
     pub fn stage_timings(&self) -> Vec<StageTiming> {
-        self.stage_log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.stage_log().recent.iter().cloned().collect()
+    }
+
+    /// Stages executed over the engine's lifetime, including those
+    /// [`Engine::stage_timings`] no longer holds.
+    pub fn stages_executed(&self) -> u64 {
+        self.stage_log().total
     }
 
     pub(crate) fn log_stage(&self, timing: StageTiming) {
+        self.stage_log().push(timing);
+    }
+
+    fn stage_log(&self) -> std::sync::MutexGuard<'_, StageLog> {
         self.stage_log
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(timing);
     }
 
     // -----------------------------------------------------------------
@@ -1695,6 +1724,24 @@ mod tests {
         // A response hit adds no stages.
         e.table1().unwrap();
         assert_eq!(e.stage_timings().len(), 2);
+        assert_eq!(e.stages_executed(), 2);
+    }
+
+    #[test]
+    fn stage_log_keeps_the_most_recent_stages_and_counts_them_all() {
+        let e = engine(1);
+        for items in 0..5000 {
+            e.log_stage(StageTiming {
+                name: "stage".into(),
+                items,
+                evaluated: 0,
+                millis: 0.0,
+            });
+        }
+        let kept = e.stage_timings();
+        assert_eq!(kept.len(), 4096);
+        assert_eq!(e.stages_executed(), 5000);
+        assert_eq!((kept[0].items, kept[4095].items), (904, 4999));
     }
 
     #[test]

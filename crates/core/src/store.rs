@@ -10,34 +10,45 @@
 //!   schema bump or a different machine description resolves to a different
 //!   file name, so stale results are never even read.
 //! * **A header line** repeating the schema version and fingerprint. A file
-//!   whose header does not match what the opener expects is discarded
-//!   wholesale (it will be rebuilt on the next flush), never trusted and
-//!   never a panic.
-//! * **One `key<TAB>value` record per line.** Keys are the engine's
-//!   deterministic `Debug` renders of its cache keys; values are hex-encoded
-//!   `f64` bit patterns (bit-exact round trips) or `;`/`,`-joined tuples for
-//!   co-run points. A line that fails to parse — e.g. the torn tail of a
-//!   crashed writer — is skipped individually.
-//! * **Atomic flush**: the merged map is written to a temp file in the same
-//!   directory and `rename`d over the target, so concurrent engines can
-//!   flush the same store without ever producing a half-written file. The
-//!   flush re-reads the file first and merges, so two engines caching
-//!   disjoint grids both contribute.
-//! * **Refresh on miss**: a `get`/`contains` miss stats the file and, if a
-//!   peer process flushed since our last read, union-merges its rows into
-//!   memory before answering. This is what lets one router worker answer
-//!   warm for a request another worker evaluated and flushed.
+//!   whose header does not match what the opener expects is ignored, never
+//!   trusted and never a panic; the next flush rewrites it.
+//! * **An append-only log of `key<TAB>value` records, one per line.** Keys
+//!   are the engine's deterministic `Debug` renders of its cache keys;
+//!   values are hex-encoded `f64` bit patterns (bit-exact round trips) or
+//!   `;`/`,`-joined tuples for co-run points. A line that fails to parse is
+//!   skipped individually, and bytes after the last newline (a torn row) are
+//!   never read as a record. A key may appear more than once and the last
+//!   row wins: two processes stored it before seeing each other's rows, or
+//!   a value the engine could not decode was stored again.
+//! * **Flush appends only new rows**: [`PersistentStore::put`] queues a row
+//!   unless the store already holds that key with that value, and
+//!   [`PersistentStore::flush`] writes the queued rows in one `write` to
+//!   the file opened `O_APPEND` under an exclusive `flock(2)`, then
+//!   `sync_data`s. Under the lock it first cuts off any bytes after the
+//!   last newline, so a crashed writer's torn row never joins onto the next
+//!   record, and rewrites a missing or foreign header. A flush costs O(its
+//!   own rows), not O(file). Where `flock` is unavailable (not Unix), a
+//!   process-global mutex serializes the writers of one process only.
+//! * **Refresh on miss**: the store keeps a cursor into the file — its inode
+//!   and the byte offset its reads reached. A `get`/`contains` miss costs
+//!   one `stat`; if the file grew, only the bytes past the cursor are read
+//!   and union-merged into memory; if the inode changed (`ghr cache clear`
+//!   removed the file and a writer created it again), the file is read
+//!   again from the start. This is what lets one router worker answer warm
+//!   for a request another worker evaluated and flushed.
 //!
 //! The cache directory resolves from `GHR_CACHE_DIR`, then
 //! `$XDG_CACHE_HOME/ghr`, then `~/.cache/ghr` (see [`resolve_cache_dir`]);
 //! the CLI exposes `--cache-dir`, `--no-cache` and a `ghr cache`
 //! subcommand on top.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::corun::CorunPoint;
 use ghr_types::{Bytes, SimTime};
@@ -92,18 +103,34 @@ fn header_line(fingerprint: u64) -> String {
 pub struct PersistentStore {
     path: PathBuf,
     header: String,
-    entries: Mutex<HashMap<String, String>>,
+    mem: Mutex<Mem>,
+    /// How far this store has read the backing file. Held across each
+    /// refresh's and flush's file I/O, so those run one at a time per
+    /// store (taken before `mem` when both are needed); `flock` serializes
+    /// writers across stores and processes.
+    cursor: Mutex<Cursor>,
     loaded: u64,
-    /// Entries inserted since the last flush.
-    dirty: AtomicU64,
-    /// Modification time of the backing file (nanoseconds since the Unix
-    /// epoch, 0 = never seen) as of our last disk read — open, flush, or
-    /// refresh. A lookup miss compares one `stat` against this before
-    /// deciding whether a peer process has flushed new rows worth merging.
-    seen_mtime: AtomicU64,
     /// Entries merged in from peer flushes by [`Self::get`]/[`Self::contains`]
-    /// misses (excludes the open-time load and flush-time merges).
+    /// misses (excludes the open-time load).
     refreshed: AtomicU64,
+}
+
+/// The in-memory side of a store: every live entry, plus the rows stored
+/// since the last flush, already rendered as `key\tvalue\n` lines.
+#[derive(Default)]
+struct Mem {
+    entries: HashMap<String, String>,
+    pending: String,
+    pending_rows: u64,
+}
+
+/// Where this store's reads of the backing file stopped.
+#[derive(Debug, Default, Clone, Copy)]
+struct Cursor {
+    /// Inode of the file `offset` points into.
+    ino: u64,
+    /// End of the last whole line read from (or appended to) that file.
+    offset: u64,
 }
 
 impl std::fmt::Debug for PersistentStore {
@@ -121,16 +148,17 @@ impl PersistentStore {
     pub fn open(dir: &Path, fingerprint: u64) -> Self {
         let path = dir.join(store_file_name(fingerprint));
         let header = header_line(fingerprint);
-        let seen = file_mtime_nanos(&path);
-        let entries = read_store_file(&path, &header).unwrap_or_default();
-        let loaded = entries.len() as u64;
+        let mut cursor = Cursor::default();
+        let entries = read_past(&path, &header, &mut cursor).unwrap_or_default();
         PersistentStore {
+            loaded: entries.len() as u64,
+            mem: Mutex::new(Mem {
+                entries,
+                ..Mem::default()
+            }),
+            cursor: Mutex::new(cursor),
             path,
             header,
-            entries: Mutex::new(entries),
-            loaded,
-            dirty: AtomicU64::new(0),
-            seen_mtime: AtomicU64::new(seen),
             refreshed: AtomicU64::new(0),
         }
     }
@@ -147,17 +175,17 @@ impl PersistentStore {
 
     /// Entries currently held (loaded + inserted).
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.mem().entries.len()
     }
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.mem().entries.is_empty()
     }
 
     /// Entries inserted since the last flush.
     pub fn dirty(&self) -> u64 {
-        self.dirty.load(Ordering::Relaxed)
+        self.mem().pending_rows
     }
 
     /// Entries merged in from peer flushes on lookup misses.
@@ -166,15 +194,15 @@ impl PersistentStore {
     }
 
     /// Look up a value by key. A miss re-checks the backing file (one
-    /// `stat`; a full re-read only when its mtime moved), so a row flushed
-    /// by a *peer process* — another `ghr serve` worker behind the router —
-    /// becomes visible without reopening the store.
+    /// `stat`; a read of the new bytes only when it changed), so a row
+    /// flushed by a *peer process* — another `ghr serve` worker behind the
+    /// router — becomes visible without reopening the store.
     pub fn get(&self, key: &str) -> Option<String> {
-        if let Some(v) = self.lock().get(key) {
+        if let Some(v) = self.mem().entries.get(key) {
             return Some(v.clone());
         }
         if self.refresh() {
-            return self.lock().get(key).cloned();
+            return self.mem().entries.get(key).cloned();
         }
         None
     }
@@ -183,150 +211,318 @@ impl PersistentStore {
     /// which must not clone the value or touch any hit/miss counter. Like
     /// [`Self::get`], a miss consults the backing file before answering.
     pub fn contains(&self, key: &str) -> bool {
-        if self.lock().contains_key(key) {
+        if self.mem().entries.contains_key(key) {
             return true;
         }
-        self.refresh() && self.lock().contains_key(key)
+        self.refresh() && self.mem().entries.contains_key(key)
     }
 
-    /// Union-merge the backing file into memory if it changed since our
-    /// last disk read. Returns whether any new row arrived. Concurrent
-    /// callers may both re-read the file; the `or_insert` merge makes that
-    /// benign (values are deterministic, so ties are byte-identical).
+    /// Union-merge rows that reached the backing file since our last read
+    /// (existing entries win; values are deterministic, so ties are
+    /// byte-identical). Returns whether any new key arrived. When the
+    /// file's inode and length still match the cursor, this is one `stat`.
     fn refresh(&self) -> bool {
-        let mtime = file_mtime_nanos(&self.path);
-        if mtime == 0 || mtime == self.seen_mtime.load(Ordering::Acquire) {
+        let Ok(meta) = std::fs::metadata(&self.path) else {
+            return false;
+        };
+        let mut cursor = self.cursor();
+        if cursor.ino == file_id(&meta) && cursor.offset == meta.len() {
             return false;
         }
-        let mut added = 0u64;
-        if let Some(on_disk) = read_store_file(&self.path, &self.header) {
-            let mut entries = self.lock();
-            for (k, v) in on_disk {
-                if let std::collections::hash_map::Entry::Vacant(e) = entries.entry(k) {
-                    e.insert(v);
-                    added += 1;
-                }
+        let Ok(rows) = read_past(&self.path, &self.header, &mut cursor) else {
+            return false;
+        };
+        let mut added = 0;
+        let mut mem = self.mem();
+        for (k, v) in rows {
+            if let Entry::Vacant(slot) = mem.entries.entry(k) {
+                slot.insert(v);
+                added += 1;
             }
         }
-        self.seen_mtime.store(mtime, Ordering::Release);
         self.refreshed.fetch_add(added, Ordering::Relaxed);
         added > 0
     }
 
-    /// Insert a value. Keys and values must be single-line and tab-free
-    /// (the engine's keys are `Debug` renders, which are); offending
-    /// records are dropped rather than corrupting the file.
+    /// Insert a value. A key the store already holds with this value is
+    /// not queued, so rows loaded from disk are never written again; a new
+    /// key, or a new value for a held key, is queued for the next flush
+    /// (reads are last-wins, so an appended value replaces the old row).
+    /// Keys and values must be single-line and tab-free (the engine's keys
+    /// are `Debug` renders, which are); offending records are dropped
+    /// rather than corrupting the file.
     pub fn put(&self, key: String, value: String) {
         if key.contains(['\t', '\n']) || value.contains(['\t', '\n']) {
             debug_assert!(false, "store record must be single-line and tab-free");
             return;
         }
-        if self.lock().insert(key, value).is_none() {
-            self.dirty.fetch_add(1, Ordering::Relaxed);
+        let mut mem = self.mem();
+        if mem.entries.get(&key) == Some(&value) {
+            return;
         }
+        mem.pending.push_str(&key);
+        mem.pending.push('\t');
+        mem.pending.push_str(&value);
+        mem.pending.push('\n');
+        mem.pending_rows += 1;
+        mem.entries.insert(key, value);
     }
 
-    /// Write the store to disk: merge with whatever is on disk now (another
-    /// engine may have flushed since we loaded), write a temp file in the
-    /// same directory, and atomically rename it over the target. Returns
-    /// the number of entries written. A no-op when nothing is dirty.
+    /// Append the rows stored since the last flush to the backing file and
+    /// make them durable. Returns the number of rows written; a no-op when
+    /// nothing is pending.
     ///
-    /// In-process flushes (any number of stores, any threads) are
-    /// serialized by a process-global lock, so each read-merge-write-rename
-    /// sequence sees the previous one's renamed file and the on-disk store
-    /// only ever grows toward the union. Cross-process writers still race
-    /// benignly: renames are atomic, so a loser's *file* is replaced intact
-    /// and its entries are re-merged on its next flush or reopen.
+    /// Every writer — another thread, another store over the same file,
+    /// another process — appends under an exclusive `flock` on the file
+    /// (off Unix, under a mutex that covers this process only), so appends
+    /// never interleave and a flush costs only its own rows. A
+    /// second caller waits for a flush in progress, so when `flush`
+    /// returns, every row stored before the call is on disk. On an I/O
+    /// error the rows stay queued for the next flush.
     pub fn flush(&self) -> io::Result<u64> {
-        static FLUSH: Mutex<()> = Mutex::new(());
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        if self.dirty.load(Ordering::Relaxed) == 0 {
+        let mut cursor = self.cursor();
+        let (rows, n) = {
+            let mut mem = self.mem();
+            (
+                std::mem::take(&mut mem.pending),
+                std::mem::take(&mut mem.pending_rows),
+            )
+        };
+        if n == 0 {
             return Ok(0);
         }
-        let _serial = FLUSH.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut entries = self.lock();
-        // Merge-in concurrent flushes; our own entries win ties (the values
-        // are deterministic, so ties are byte-identical anyway).
-        if let Some(on_disk) = read_store_file(&self.path, &self.header) {
-            for (k, v) in on_disk {
-                entries.entry(k).or_insert(v);
-            }
+        if let Err(e) = append(&self.path, &self.header, &rows, &mut cursor) {
+            let mut mem = self.mem();
+            mem.pending.insert_str(0, &rows);
+            mem.pending_rows += n;
+            return Err(e);
         }
-        let sorted: BTreeMap<&String, &String> = entries.iter().collect();
-        let mut body = String::with_capacity(64 * (sorted.len() + 1));
-        body.push_str(&self.header);
-        body.push('\n');
-        for (k, v) in &sorted {
-            body.push_str(k);
-            body.push('\t');
-            body.push_str(v);
-            body.push('\n');
-        }
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        // Unique per (process, flush): two stores over the same file in one
-        // process must not scribble on the same temp path.
-        let tmp = self.path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.dirty.store(0, Ordering::Relaxed);
-        // The renamed file is ours: remember its mtime so the next lookup
-        // miss does not re-read what we just wrote.
-        self.seen_mtime
-            .store(file_mtime_nanos(&self.path), Ordering::Release);
-        Ok(sorted.len() as u64)
+        Ok(n)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, String>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    fn mem(&self) -> MutexGuard<'_, Mem> {
+        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn cursor(&self) -> MutexGuard<'_, Cursor> {
+        self.cursor.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Backing-file modification time as nanoseconds since the Unix epoch,
-/// `0` when the file is missing (or predates 1970, which no flush does).
-fn file_mtime_nanos(path: &Path) -> u64 {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
-/// Read a store file. `None` when the file is missing, unreadable, or its
-/// header does not match (wrong schema or fingerprint — treated as absent,
-/// never an error). Individually corrupt records are skipped.
-fn read_store_file(path: &Path, header: &str) -> Option<HashMap<String, String>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != header {
-        return None;
+/// Read the store file's rows past `cursor` and advance it to the end of
+/// the last whole line. Reading resumes at the cursor while the file is
+/// the one it points into; after the inode changes (the file was removed
+/// and created again) or the file was rewritten in place, it starts again
+/// from the header. Rows come back last-wins. Errors when the file is
+/// missing or unreadable; a foreign or headerless file yields no rows.
+fn read_past(
+    path: &Path,
+    header: &str,
+    cursor: &mut Cursor,
+) -> io::Result<HashMap<String, String>> {
+    let mut file = File::open(path)?;
+    let meta = file.metadata()?;
+    let ino = file_id(&meta);
+    let resume = cursor.offset > 0 && cursor.ino == ino && meta.len() >= cursor.offset;
+    // Resuming re-reads the newline that ends our last line, to check the
+    // file still has a line boundary there.
+    let start = if resume { cursor.offset - 1 } else { 0 };
+    file.seek(SeekFrom::Start(start))?;
+    let mut buf = Vec::new();
+    file.read_to_end(&mut buf)?;
+    if resume && buf.first() != Some(&b'\n') {
+        *cursor = Cursor::default();
+        return read_past(path, header, cursor);
     }
-    let mut map = HashMap::new();
-    // A torn final line (crashed writer) has no trailing newline; detect it
-    // so a record that merely *looks* parseable is not trusted.
-    let complete_tail = text.ends_with('\n');
-    let mut records = lines.peekable();
-    while let Some(line) = records.next() {
-        if records.peek().is_none() && !complete_tail {
-            break;
-        }
+    // Bytes after the last newline are a torn row (or one still being
+    // written): they are never a record, and the next append cuts them off.
+    let whole = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut lines = buf[..whole].split(|&b| b == b'\n');
+    let first = lines.next(); // with `resume`, the empty remainder before the newline
+    if !resume && first != Some(header.as_bytes()) {
+        // Wrong schema or fingerprint, or no whole header line: nothing
+        // to trust until a flush rewrites the file.
+        *cursor = Cursor {
+            ino,
+            offset: buf.len() as u64,
+        };
+        return Ok(HashMap::new());
+    }
+    let mut rows = HashMap::new();
+    for line in lines {
+        let Ok(line) = std::str::from_utf8(line) else {
+            continue;
+        };
         if let Some((k, v)) = line.split_once('\t') {
             if !k.is_empty() && !v.is_empty() && !v.contains('\t') {
-                map.insert(k.to_string(), v.to_string());
+                rows.insert(k.to_string(), v.to_string());
             }
         }
     }
-    Some(map)
+    *cursor = Cursor {
+        ino,
+        offset: start + whole as u64,
+    };
+    Ok(rows)
+}
+
+/// Append `rows` (whole lines) to the store file under its lock: a
+/// missing or foreign header is rewritten as the header plus `rows`, a
+/// torn tail is cut off first, and the write is one `write` followed by
+/// `sync_data`. The cursor advances over the rows only if it had already
+/// read everything before them; otherwise a later refresh reads the
+/// peers' rows and ours together.
+fn append(path: &Path, header: &str, rows: &str, cursor: &mut Cursor) -> io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let (mut file, meta, _lock) = open_locked(path)?;
+    let (ino, mut end) = (file_id(&meta), meta.len());
+    let has_header = starts_with_line(&mut file, end, header)?;
+    let mut buf = String::with_capacity(header.len() + 1 + rows.len());
+    if has_header {
+        let whole = whole_lines_len(&mut file, end)?;
+        if whole < end {
+            file.set_len(whole)?;
+            end = whole;
+        }
+    } else {
+        file.set_len(0)?;
+        end = 0;
+        buf.push_str(header);
+        buf.push('\n');
+    }
+    buf.push_str(rows);
+    file.write_all(buf.as_bytes())?;
+    file.sync_data()?;
+    if !has_header {
+        sync_parent(path)?;
+    }
+    let caught_up = cursor.ino == ino && cursor.offset == end;
+    if !has_header || caught_up {
+        *cursor = Cursor {
+            ino,
+            offset: end + buf.len() as u64,
+        };
+    }
+    Ok(())
+}
+
+/// Open the store file for appending (creating it if missing), take the
+/// write lock, and return the file, its metadata and the lock. `ghr cache
+/// clear` may remove the file between our open and our lock, leaving the
+/// descriptor on a file no one reads any more: then open again.
+fn open_locked(path: &Path) -> io::Result<(File, std::fs::Metadata, WriteLock)> {
+    loop {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let lock = lock_exclusive(&file)?;
+        let meta = file.metadata()?;
+        let current = std::fs::metadata(path).map(|m| file_id(&m));
+        if current.ok() == Some(file_id(&meta)) {
+            return Ok((file, meta, lock));
+        }
+    }
+}
+
+/// Whether the first `line.len() + 1` of the file's `len` bytes are `line`
+/// and a newline.
+fn starts_with_line(file: &mut File, len: u64, line: &str) -> io::Result<bool> {
+    let mut head = vec![0; line.len() + 1];
+    if len < head.len() as u64 {
+        return Ok(false);
+    }
+    file.seek(SeekFrom::Start(0))?;
+    file.read_exact(&mut head)?;
+    Ok(head.strip_suffix(b"\n") == Some(line.as_bytes()))
+}
+
+/// Length of the longest prefix of the file's `len` bytes that ends in a
+/// newline, scanning back from the end.
+fn whole_lines_len(file: &mut File, len: u64) -> io::Result<u64> {
+    const CHUNK: u64 = 4096;
+    let mut end = len;
+    let mut buf = Vec::new();
+    while end > 0 {
+        let start = end.saturating_sub(CHUNK);
+        buf.resize((end - start) as usize, 0);
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(&mut buf)?;
+        if let Some(i) = buf.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + i as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
+}
+
+/// Make the directory entry of a created file durable. Where a directory
+/// cannot be opened as a file (not on Unix), this is skipped.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    match path.parent().map(File::open) {
+        Some(Ok(dir)) => dir.sync_all(),
+        _ => Ok(()),
+    }
+}
+
+/// Inode number, which tells a re-created store file from the one a
+/// cursor points into. Without inodes every file looks the same, and the
+/// cursor falls back on its line-boundary check.
+#[cfg(unix)]
+fn file_id(meta: &std::fs::Metadata) -> u64 {
+    std::os::unix::fs::MetadataExt::ino(meta)
+}
+
+#[cfg(not(unix))]
+fn file_id(_meta: &std::fs::Metadata) -> u64 {
+    0
+}
+
+/// Held while a writer may modify the store file. On Unix the `flock` on
+/// the open file is the lock and this guard holds nothing; elsewhere it
+/// holds a process-global mutex, which keeps the writers of one process
+/// apart but not those of different processes.
+struct WriteLock {
+    #[cfg(not(unix))]
+    _writers: MutexGuard<'static, ()>,
+}
+
+/// Take an exclusive `flock(2)` on `file`, waiting for other holders. The
+/// lock belongs to this open file description, so two opens of the store
+/// in one process exclude each other too, and it is released when `file`
+/// closes. (`File::lock` needs a newer Rust than this workspace's MSRV.)
+#[cfg(unix)]
+fn lock_exclusive(file: &File) -> io::Result<WriteLock> {
+    use std::os::unix::io::AsRawFd;
+
+    extern "C" {
+        fn flock(fd: i32, operation: i32) -> i32;
+    }
+
+    const LOCK_EX: i32 = 2;
+
+    loop {
+        // SAFETY: `flock` only reads its integer arguments, and `file`
+        // keeps the descriptor open for the duration of the call.
+        if unsafe { flock(file.as_raw_fd(), LOCK_EX) } == 0 {
+            return Ok(WriteLock {});
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+fn lock_exclusive(_file: &File) -> io::Result<WriteLock> {
+    static WRITERS: Mutex<()> = Mutex::new(());
+    Ok(WriteLock {
+        _writers: WRITERS.lock().unwrap_or_else(PoisonError::into_inner),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -550,7 +746,7 @@ mod tests {
         a.put("from-a".into(), "1".into());
         b.put("from-b".into(), "2".into());
         a.flush().unwrap();
-        b.flush().unwrap(); // merges a's flush before writing
+        b.flush().unwrap(); // appends after a's row
         let merged = PersistentStore::open(&dir, 21);
         assert_eq!(merged.loaded(), 2);
         assert_eq!(merged.get("from-a").unwrap(), "1");
@@ -560,9 +756,9 @@ mod tests {
     #[test]
     fn interleaved_flushes_from_two_stores_union_on_disk() {
         // Two stores over the same file, each flushing after every insert
-        // from its own thread. Serialized read-merge-write-rename means the
-        // on-disk file only ever grows toward the union — no flush may
-        // clobber the other store's records or tear the temp file.
+        // from its own thread. Appends are serialized by the file lock, so
+        // the on-disk log only ever grows toward the union — no flush may
+        // clobber the other store's records or tear one of them.
         let dir = tmp_dir("torture");
         let a = PersistentStore::open(&dir, 51);
         let b = PersistentStore::open(&dir, 51);
@@ -580,9 +776,8 @@ mod tests {
                 }
             });
         });
-        // One last dirty flush from each side: the later one merges the
-        // earlier's renamed file, so whoever "loses" the race is merged,
-        // not dropped.
+        // One last dirty flush from each side: each appends after the
+        // other's rows, so neither side's rows are dropped.
         a.put("a-final".into(), "1".into());
         a.flush().unwrap();
         b.put("b-final".into(), "1".into());
@@ -615,6 +810,89 @@ mod tests {
             store.put("k".into(), "bad\nvalue".into());
             assert!(store.is_empty());
         }
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn flush_appends_exactly_its_new_rows_and_no_temp_file() {
+        let dir = tmp_dir("append");
+        let store = PersistentStore::open(&dir, 61);
+        store.put("first".into(), "1".into());
+        assert_eq!(store.flush().unwrap(), 1);
+        let before = std::fs::read(store.path()).unwrap();
+
+        store.put("second".into(), encode_f64(2.5));
+        store.put("first".into(), "1".into()); // already held: not queued
+        assert_eq!(store.dirty(), 1);
+        assert_eq!(store.flush().unwrap(), 1);
+        let after = std::fs::read(store.path()).unwrap();
+        let row = format!("second\t{}\n", encode_f64(2.5));
+        assert_eq!(after.len(), before.len() + row.len());
+        assert_eq!(&after[..before.len()], &before[..]);
+        assert_eq!(&after[before.len()..], row.as_bytes());
+        assert_eq!(file_names(&dir), [store_file_name(61)]);
+
+        // Rows loaded from disk are never appended again.
+        let again = PersistentStore::open(&dir, 61);
+        again.put("first".into(), "1".into());
+        again.put("second".into(), encode_f64(2.5));
+        assert_eq!(again.flush().unwrap(), 0);
+        assert_eq!(std::fs::read(again.path()).unwrap(), after);
+        assert_eq!(again.len(), 2);
+    }
+
+    #[test]
+    fn torn_tail_is_cut_off_by_the_next_append() {
+        let dir = tmp_dir("torn-append");
+        let path = dir.join(store_file_name(62));
+        let header = header_line(62);
+        std::fs::write(&path, format!("{header}\ngood\tvalue\nGpu {{ torn")).unwrap();
+        let store = PersistentStore::open(&dir, 62);
+        assert_eq!(store.loaded(), 1);
+        store.put("fresh".into(), "row".into());
+        store.flush().unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{header}\ngood\tvalue\nfresh\trow\n")
+        );
+
+        let again = PersistentStore::open(&dir, 62);
+        assert_eq!(again.loaded(), 2);
+        assert_eq!(again.get("good").unwrap(), "value");
+        assert_eq!(again.get("fresh").unwrap(), "row");
+        assert!(again.get("Gpu { tornfresh").is_none(), "torn row joined");
+    }
+
+    #[test]
+    fn a_changed_value_is_appended_and_wins_on_reopen() {
+        // A row the engine cannot decode is evaluated again and stored
+        // with its good value, which must replace the bad row for every
+        // later reader.
+        let dir = tmp_dir("replace");
+        let path = dir.join(store_file_name(63));
+        let header = header_line(63);
+        std::fs::write(&path, format!("{header}\nk\tnot-hex\n")).unwrap();
+        let store = PersistentStore::open(&dir, 63);
+        assert_eq!(store.get("k").unwrap(), "not-hex");
+        store.put("k".into(), encode_f64(1.5));
+        assert_eq!(store.dirty(), 1);
+        assert_eq!(store.get("k").unwrap(), encode_f64(1.5));
+        assert_eq!(store.flush().unwrap(), 1);
+
+        let again = PersistentStore::open(&dir, 63);
+        assert_eq!(again.loaded(), 1);
+        assert_eq!(decode_f64(&again.get("k").unwrap()), Some(1.5));
+        // The good value is now held, so storing it again writes nothing.
+        again.put("k".into(), encode_f64(1.5));
+        assert_eq!(again.flush().unwrap(), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Persistent-store lifecycle tests: results survive the engine (standing
 //! in for the process), mismatched or corrupt files invalidate cleanly,
-//! concurrent flushes merge, and the cached answers are bit-identical to
-//! fresh evaluations.
+//! concurrent flushes union in the append-only log, a live store reads
+//! its peers' appends, and the cached answers are bit-identical to fresh
+//! evaluations.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -102,8 +103,9 @@ fn live_store_sees_a_peer_flush_on_lookup_miss() {
     );
     assert_eq!(b.refreshed(), 1, "exactly one row merged from the peer");
 
-    // A repeated miss on an unchanged file is answered from memory alone
-    // (the mtime fast path), not another full re-read.
+    // A repeated miss on an unchanged file is answered from memory alone:
+    // one `stat` finds the file's inode and length where the cursor left
+    // them, so nothing is read.
     assert!(b.get("absent-key").is_none());
     assert_eq!(b.refreshed(), 1);
 
@@ -115,6 +117,42 @@ fn live_store_sees_a_peer_flush_on_lookup_miss() {
     cold.table1().unwrap();
     let stats = cold.stats();
     assert_eq!(stats.evaluated, 0, "peer flush not picked up: {stats:?}");
+}
+
+#[test]
+fn refresh_reads_only_a_peers_append_until_the_file_is_replaced() {
+    let dir = tmp_dir("cursor");
+    let fp = ghr_core::engine::machine_fingerprint(&machine());
+    let a = PersistentStore::open(&dir, fp);
+    a.put("row-1".to_string(), "1".to_string());
+    a.flush().unwrap();
+    let b = PersistentStore::open(&dir, fp);
+    assert_eq!(b.loaded(), 1);
+
+    // Rewrite row-1 in place as row-X (same inode, same length): a reader
+    // that resumes at its cursor never looks back at bytes it has read.
+    let path = a.path().to_path_buf();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, text.replace("row-1\t", "row-X\t")).unwrap();
+
+    // A peer's append is picked up on a miss, and only the append is read.
+    a.put("row-2".to_string(), "2".to_string());
+    a.flush().unwrap();
+    assert_eq!(b.get("row-2").as_deref(), Some("2"));
+    assert_eq!(b.refreshed(), 1);
+    assert!(b.get("row-X").is_none(), "re-read bytes before the cursor");
+
+    // A file renamed over the store has a new inode: read from the start.
+    let tmp = dir.join("replacement");
+    std::fs::write(
+        &tmp,
+        format!("{}row-3\t3\n", text.replace("row-1\t", "row-X\t")),
+    )
+    .unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
+    assert_eq!(b.get("row-3").as_deref(), Some("3"));
+    assert_eq!(b.get("row-X").as_deref(), Some("1"));
+    assert_eq!(b.refreshed(), 3);
 }
 
 #[test]
@@ -165,8 +203,8 @@ fn schema_bump_or_corrupt_file_rebuilds_cleanly() {
 #[test]
 fn concurrent_engines_merge_instead_of_clobbering() {
     // Two engines over the same directory, each evaluating a different
-    // grid, flushing in either order: the store ends up with both (the
-    // flush re-reads and merges before its atomic rename).
+    // grid, flushing in either order: the store ends up with both (each
+    // flush appends its own rows after whatever is on disk).
     let dir = tmp_dir("merge");
     let a = Engine::new(machine(), 1).with_store_dir(&dir);
     let b = Engine::new(machine(), 1).with_store_dir(&dir);
@@ -186,12 +224,11 @@ fn concurrent_engines_merge_instead_of_clobbering() {
 
 #[test]
 fn interleaved_flushes_from_racing_engines_merge_not_clobber() {
-    // Torture the merge-on-flush path: two engines over the same
-    // directory evaluate disjoint grids and flush *concurrently*, each
-    // several times while the other is mid-evaluation or mid-flush. The
-    // flush lock serializes read-merge-write-rename, so whichever rename
-    // lands last must contain the union — the loser's entries are merged
-    // forward, never dropped.
+    // Torture the append path: two engines over the same directory
+    // evaluate disjoint grids and flush *concurrently*, each several
+    // times while the other is mid-evaluation or mid-flush. The file lock
+    // serializes the appends, so the log ends up holding the union — no
+    // flush drops or tears the other's rows.
     let dir = tmp_dir("interleave");
     let a = Engine::new(machine(), 2).with_store_dir(&dir);
     let b = Engine::new(machine(), 2).with_store_dir(&dir);
@@ -229,8 +266,9 @@ fn interleaved_flushes_from_racing_engines_merge_not_clobber() {
 
 #[test]
 fn flush_is_atomic_no_partial_file_visible() {
-    // The flush path goes through a temp file + rename; the target name
-    // either holds the previous complete store or the new complete store.
+    // A flush appends whole rows in one write under the file lock and
+    // cuts off any torn tail first, so the file always ends in a complete
+    // row and no temp file is involved.
     let dir = tmp_dir("atomic");
     let e = Engine::new(machine(), 1).with_store_dir(&dir);
     e.table1().unwrap();

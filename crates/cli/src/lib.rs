@@ -37,7 +37,9 @@
 //! rate, persistent-store traffic, wall time — to the output) and
 //! `--stats-json` (emit the same counters plus per-stage executor timings
 //! as one JSON object on stderr, leaving stdout byte-identical). Output is
-//! byte-identical at every thread count.
+//! byte-identical at every thread count. Every command reads its flags
+//! with one grammar: a value flag takes `--x v` or `--x=v`, a bare `--x`
+//! is a switch, and anything else is a positional word.
 //!
 //! Results persist across processes in a versioned on-disk store
 //! (`$GHR_CACHE_DIR`, else `$XDG_CACHE_HOME/ghr`, else `~/.cache/ghr`);
@@ -50,6 +52,7 @@
 //! `GHR_SIMD` environment variable (`off|sse2|avx2|neon|auto`) forces a
 //! backend, and `--stats` reports which one was selected.
 
+use flags::{count, seconds, Arg, Flags};
 use ghr_core::{
     accuracy::accuracy_study,
     autotune::TunedConfig,
@@ -77,6 +80,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 pub mod benchdiff;
+mod flags;
 pub mod loadgen;
 pub mod router;
 pub mod serve;
@@ -99,7 +103,7 @@ client|loadgen|cache> [args]\n\
      [--socket PATH | --tcp HOST:PORT] [--sessions N] [--max-idle SECS]\n\
      [--max-inflight N] [--max-frame BYTES]` answers line-delimited experiment\n\
      requests over one warm engine — connections run concurrently on up to N\n\
-     sessions (default GHR_SESSIONS, then engine threads); a bare --tcp PORT\n\
+     sessions (default: engine threads); a bare --tcp PORT\n\
      binds loopback (external binds must be named and warn); past the\n\
      --max-inflight budget arrivals get `ghr-error reason=overload`\n\
      immediately; lines over --max-frame bytes are rejected as oversized;\n\
@@ -135,6 +139,7 @@ client|loadgen|cache> [args]\n\
      --stats-json (engine counters + per-stage timings as JSON on stderr),\n\
      --cache-dir DIR (persistent store location; default GHR_CACHE_DIR, then\n\
      ~/.cache/ghr) and --no-cache (skip the persistent store entirely);\n\
+     every value flag takes `--x v` or `--x=v`, and a bare `--x` is a switch;\n\
      run `ghr help` or see the crate docs for details"
 }
 
@@ -163,32 +168,16 @@ fn parse_global(rest: &[String]) -> Result<(GlobalOpts, Vec<String>), String> {
         cache_dir: None,
     };
     let mut filtered = Vec::with_capacity(rest.len());
-    let parse_threads = |s: &str| -> Result<usize, String> {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad thread count {s:?} (need an integer >= 1)")),
-        }
-    };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--stats" {
-            opts.stats = true;
-        } else if a == "--stats-json" {
-            opts.stats_json = true;
-        } else if a == "--no-cache" {
-            opts.no_cache = true;
-        } else if a == "--threads" {
-            let v = it.next().ok_or("--threads needs a count")?;
-            opts.threads = parse_threads(v)?;
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            opts.threads = parse_threads(v)?;
-        } else if a == "--cache-dir" {
-            let v = it.next().ok_or("--cache-dir needs a directory")?;
-            opts.cache_dir = Some(v.clone());
-        } else if let Some(v) = a.strip_prefix("--cache-dir=") {
-            opts.cache_dir = Some(v.to_string());
-        } else {
-            filtered.push(a.clone());
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--stats") => opts.stats = flags.switch()?,
+            Arg::Flag("--stats-json") => opts.stats_json = flags.switch()?,
+            Arg::Flag("--no-cache") => opts.no_cache = flags.switch()?,
+            Arg::Flag("--threads") => opts.threads = count("thread count", flags.value()?)?,
+            Arg::Flag("--cache-dir") => opts.cache_dir = Some(flags.value()?.to_string()),
+            // Everything else is the command's own to parse.
+            _ => filtered.push(flags.raw().to_string()),
         }
     }
     Ok((opts, filtered))
@@ -525,32 +514,13 @@ fn parse_workload(cmd: &str, rest: &[String]) -> Result<Request, String> {
     let mut case: Option<Case> = None;
     let mut m: Option<u64> = None;
     let mut cols: Option<u32> = None;
-    let parse_m = |s: &str| -> Result<u64, String> {
-        match s.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad element count {s:?} (need an integer >= 1)")),
-        }
-    };
-    let parse_cols = |s: &str| -> Result<u32, String> {
-        match s.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad row length {s:?} (need an integer >= 1)")),
-        }
-    };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--m" {
-            m = Some(parse_m(it.next().ok_or("--m needs an element count")?)?);
-        } else if let Some(v) = a.strip_prefix("--m=") {
-            m = Some(parse_m(v)?);
-        } else if a == "--cols" {
-            cols = Some(parse_cols(it.next().ok_or("--cols needs a row length")?)?);
-        } else if let Some(v) = a.strip_prefix("--cols=") {
-            cols = Some(parse_cols(v)?);
-        } else if !a.starts_with("--") && case.is_none() {
-            case = Some(parse_case(a)?);
-        } else {
-            return Err(format!("unknown {cmd} argument {a:?}"));
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--m") => m = Some(count("element count", flags.value()?)?),
+            Arg::Flag("--cols") => cols = Some(count("row length", flags.value()?)?),
+            Arg::Word(word) if case.is_none() => case = Some(parse_case(word)?),
+            _ => return Err(format!("unknown {cmd} argument {:?}", flags.raw())),
         }
     }
     if cols.is_some() && cmd != "gemv" {
@@ -725,61 +695,24 @@ fn cmd_plan(engine: &Engine, rest: &[String]) -> Result<String, String> {
 /// arrivals past the budget get `ghr-error reason=overload` immediately;
 /// `--max-frame` tightens (or widens) the accepted request-line length.
 fn cmd_serve(engine: &Arc<Engine>, rest: &[String]) -> Result<String, String> {
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
+    let mut socket: Option<&str> = None;
+    let mut tcp: Option<&str> = None;
     let mut sessions: Option<usize> = None;
-    let mut max_idle: Option<f64> = None;
+    let mut max_idle: Option<std::time::Duration> = None;
     let mut max_inflight: Option<usize> = None;
     let mut max_frame: usize = serve::MAX_REQUEST_LINE;
-    let parse_count = |what: &str, s: &str| -> Result<usize, String> {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {what} {s:?} (need an integer >= 1)")),
-        }
-    };
-    let parse_idle = |s: &str| -> Result<f64, String> {
-        match s.parse::<f64>() {
-            Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
-            _ => Err(format!("bad idle timeout {s:?} (need seconds > 0)")),
-        }
-    };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--socket" {
-            socket = Some(it.next().ok_or("--socket needs a path")?.clone());
-        } else if let Some(v) = a.strip_prefix("--socket=") {
-            socket = Some(v.to_string());
-        } else if a == "--tcp" {
-            tcp = Some(it.next().ok_or("--tcp needs HOST:PORT or PORT")?.clone());
-        } else if let Some(v) = a.strip_prefix("--tcp=") {
-            tcp = Some(v.to_string());
-        } else if a == "--sessions" {
-            sessions = Some(parse_count(
-                "session count",
-                it.next().ok_or("--sessions needs a count")?,
-            )?);
-        } else if let Some(v) = a.strip_prefix("--sessions=") {
-            sessions = Some(parse_count("session count", v)?);
-        } else if a == "--max-idle" {
-            max_idle = Some(parse_idle(it.next().ok_or("--max-idle needs seconds")?)?);
-        } else if let Some(v) = a.strip_prefix("--max-idle=") {
-            max_idle = Some(parse_idle(v)?);
-        } else if a == "--max-inflight" {
-            max_inflight = Some(parse_count(
-                "in-flight budget",
-                it.next().ok_or("--max-inflight needs a count")?,
-            )?);
-        } else if let Some(v) = a.strip_prefix("--max-inflight=") {
-            max_inflight = Some(parse_count("in-flight budget", v)?);
-        } else if a == "--max-frame" {
-            max_frame = parse_count(
-                "frame cap",
-                it.next().ok_or("--max-frame needs a byte count")?,
-            )?;
-        } else if let Some(v) = a.strip_prefix("--max-frame=") {
-            max_frame = parse_count("frame cap", v)?;
-        } else {
-            return Err(format!("unknown serve argument {a:?}"));
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--socket") => socket = Some(flags.value()?),
+            Arg::Flag("--tcp") => tcp = Some(flags.value()?),
+            Arg::Flag("--sessions") => sessions = Some(count("session count", flags.value()?)?),
+            Arg::Flag("--max-idle") => max_idle = Some(seconds("idle timeout", flags.value()?)?),
+            Arg::Flag("--max-inflight") => {
+                max_inflight = Some(count("in-flight budget", flags.value()?)?)
+            }
+            Arg::Flag("--max-frame") => max_frame = count("frame cap", flags.value()?)?,
+            _ => return Err(format!("unknown serve argument {:?}", flags.raw())),
         }
     }
     if socket.is_some() && tcp.is_some() {
@@ -787,7 +720,7 @@ fn cmd_serve(engine: &Arc<Engine>, rest: &[String]) -> Result<String, String> {
     }
     let endpoint = match (socket, tcp) {
         (Some(path), None) => Some(ghr_types::Endpoint::unix(path)),
-        (None, Some(spec)) => Some(ghr_types::Endpoint::tcp(&spec)?),
+        (None, Some(spec)) => Some(ghr_types::Endpoint::tcp(spec)?),
         _ => None,
     };
     match endpoint {
@@ -816,17 +749,9 @@ fn cmd_serve(engine: &Arc<Engine>, rest: &[String]) -> Result<String, String> {
         }
         #[cfg(unix)]
         Some(endpoint) => {
-            let sessions = sessions
-                .or_else(|| {
-                    std::env::var("GHR_SESSIONS")
-                        .ok()
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                })
-                .unwrap_or_else(|| engine.threads());
             let opts = serve::ServeOptions {
-                sessions,
-                max_idle: max_idle.map(std::time::Duration::from_secs_f64),
+                sessions: sessions.unwrap_or_else(|| engine.threads()),
+                max_idle,
                 max_inflight,
                 max_frame,
             };
@@ -854,26 +779,21 @@ fn cmd_serve(engine: &Arc<Engine>, rest: &[String]) -> Result<String, String> {
 /// and the frames stream back in this argument order.
 fn cmd_client(rest: &[String]) -> Result<String, String> {
     use std::io::{Read, Write};
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut lines: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--socket" {
-            socket = Some(it.next().ok_or("--socket needs a path")?.clone());
-        } else if let Some(v) = a.strip_prefix("--socket=") {
-            socket = Some(v.to_string());
-        } else if a == "--tcp" {
-            tcp = Some(it.next().ok_or("--tcp needs HOST:PORT or PORT")?.clone());
-        } else if let Some(v) = a.strip_prefix("--tcp=") {
-            tcp = Some(v.to_string());
-        } else {
-            lines.push(a.clone());
+    let mut socket: Option<&str> = None;
+    let mut tcp: Option<&str> = None;
+    let mut lines: Vec<&str> = Vec::new();
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--socket") => socket = Some(flags.value()?),
+            Arg::Flag("--tcp") => tcp = Some(flags.value()?),
+            Arg::Word(line) => lines.push(line),
+            Arg::Flag(_) => return Err(format!("unknown client argument {:?}", flags.raw())),
         }
     }
     let endpoint = match (socket, tcp) {
         (Some(path), None) => ghr_types::Endpoint::unix(path),
-        (None, Some(spec)) => ghr_types::Endpoint::tcp(&spec)?,
+        (None, Some(spec)) => ghr_types::Endpoint::tcp(spec)?,
         (Some(_), Some(_)) => {
             return Err("--socket and --tcp are mutually exclusive".to_string());
         }
@@ -1369,28 +1289,15 @@ fn parse_bench(rest: &[String]) -> Result<BenchOpts, String> {
         v: None,
         kernel_threads: None,
     };
-    let parse_n = |what: &str, s: &str| -> Result<usize, String> {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {what} {s:?} (need an integer >= 1)")),
-        }
-    };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--quick" {
-            opts.quick = true;
-        } else if a == "--v" {
-            let v = it.next().ok_or("--v needs an unroll factor")?;
-            opts.v = Some(parse_n("unroll factor", v)?);
-        } else if let Some(v) = a.strip_prefix("--v=") {
-            opts.v = Some(parse_n("unroll factor", v)?);
-        } else if a == "--kernel-threads" {
-            let v = it.next().ok_or("--kernel-threads needs a count")?;
-            opts.kernel_threads = Some(parse_n("thread count", v)?);
-        } else if let Some(v) = a.strip_prefix("--kernel-threads=") {
-            opts.kernel_threads = Some(parse_n("thread count", v)?);
-        } else {
-            return Err(format!("unknown bench argument {a:?}"));
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--quick") => opts.quick = flags.switch()?,
+            Arg::Flag("--v") => opts.v = Some(count("unroll factor", flags.value()?)?),
+            Arg::Flag("--kernel-threads") => {
+                opts.kernel_threads = Some(count("thread count", flags.value()?)?)
+            }
+            _ => return Err(format!("unknown bench argument {:?}", flags.raw())),
         }
     }
     if let Some(v) = opts.v {
@@ -1849,6 +1756,25 @@ mod tests {
         }
         let out = run("cache", &args(&["stats"])).unwrap();
         assert!(out.contains("persistent cache disabled"), "{out}");
+    }
+
+    /// Serve's flags are checked before anything binds or reads stdin.
+    #[test]
+    fn serve_rejects_bad_flags_before_serving() {
+        for (flags, want) in [
+            (&["--max-frame=0"][..], "bad frame cap \"0\""),
+            (&["--sessions"][..], "--sessions needs a value"),
+            (&["--max-idle=-1"][..], "bad idle timeout \"-1\""),
+            (&["--max-inflight", "x"][..], "bad in-flight budget \"x\""),
+            (
+                &["--socket=/tmp/s", "--tcp", "7421"][..],
+                "mutually exclusive",
+            ),
+            (&["--bogus"][..], "unknown serve argument \"--bogus\""),
+        ] {
+            let err = run("serve", &args(flags)).unwrap_err();
+            assert!(err.contains(want), "{flags:?}: {err}");
+        }
     }
 
     #[test]

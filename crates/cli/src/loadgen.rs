@@ -29,6 +29,7 @@
 //! phase on stdout plus `BENCH_loadgen.json` (override with `--out
 //! FILE`, suppress with `--no-out`).
 
+use crate::flags::{count, Arg, Flags};
 use ghr_core::engine::Engine;
 use ghr_core::loadgen::{
     run_in_process, run_phase, Arrival, LoadConn, LoadReport, LoadgenConfig, Outcome, PhaseReport,
@@ -69,77 +70,56 @@ fn parse_args(rest: &[String]) -> Result<LoadgenArgs, String> {
     };
     let mut failover_pid: Option<i32> = None;
     let mut failover_after: Option<usize> = None;
-    let parse_count = |what: &str, s: &str| -> Result<usize, String> {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {what} {s:?} (need an integer >= 1)")),
-        }
-    };
     let parse_f64 = |what: &str, s: &str, min: f64| -> Result<f64, String> {
         match s.parse::<f64>() {
             Ok(v) if v.is_finite() && v >= min => Ok(v),
             _ => Err(format!("bad {what} {s:?} (need a finite number >= {min})")),
         }
     };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        // Accept both `--flag value` and `--flag=value`.
-        let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (a.as_str(), None),
-        };
-        let mut value = |name: &str| -> Result<String, String> {
-            match &inline {
-                Some(v) => Ok(v.clone()),
-                None => it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value")),
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--socket") => args.socket = Some(flags.value()?.to_string()),
+            Arg::Flag("--tcp") => args.tcp = Some(flags.value()?.to_string()),
+            Arg::Flag("--requests") => args.cfg.requests = count("request count", flags.value()?)?,
+            Arg::Flag("--conns") => args.cfg.conns = count("connection count", flags.value()?)?,
+            Arg::Flag("--catalog") => args.cfg.catalog = count("catalog size", flags.value()?)?,
+            Arg::Flag("--zipf") => {
+                args.cfg.zipf_s = parse_f64("zipf exponent", flags.value()?, 0.0)?
             }
-        };
-        match flag {
-            "--socket" => args.socket = Some(value("--socket")?),
-            "--tcp" => args.tcp = Some(value("--tcp")?),
-            "--requests" => {
-                args.cfg.requests = parse_count("request count", &value("--requests")?)?
-            }
-            "--conns" => args.cfg.conns = parse_count("connection count", &value("--conns")?)?,
-            "--catalog" => args.cfg.catalog = parse_count("catalog size", &value("--catalog")?)?,
-            "--zipf" => args.cfg.zipf_s = parse_f64("zipf exponent", &value("--zipf")?, 0.0)?,
-            "--rate" => {
-                let v = parse_f64("arrival rate", &value("--rate")?, 0.0)?;
+            Arg::Flag("--rate") => {
+                let v = parse_f64("arrival rate", flags.value()?, 0.0)?;
                 if v <= 0.0 {
                     return Err(format!("bad arrival rate {v:?} (need rps > 0)"));
                 }
                 args.cfg.rate = Some(v);
             }
-            "--seed" => {
-                let v = value("--seed")?;
+            Arg::Flag("--seed") => {
+                let v = flags.value()?;
                 args.cfg.seed = v
                     .parse::<u64>()
                     .map_err(|_| format!("bad seed {v:?} (need a u64)"))?;
             }
-            "--overload-conns" => {
-                args.cfg.overload_conns =
-                    parse_count("overload connection count", &value("--overload-conns")?)?
+            Arg::Flag("--overload-conns") => {
+                args.cfg.overload_conns = count("overload connection count", flags.value()?)?
             }
-            "--label" => args.cfg.label = Some(value("--label")?),
-            "--out" => args.out = Some(value("--out")?),
-            "--no-out" if inline.is_none() => args.out = None,
-            "--failover-pid" => {
-                let v = value("--failover-pid")?;
+            Arg::Flag("--label") => args.cfg.label = Some(flags.value()?.to_string()),
+            Arg::Flag("--out") => args.out = Some(flags.value()?.to_string()),
+            Arg::Flag("--no-out") => {
+                flags.switch()?;
+                args.out = None;
+            }
+            Arg::Flag("--failover-pid") => {
+                let v = flags.value()?;
                 failover_pid = Some(match v.parse::<i32>() {
                     Ok(pid) if pid > 1 => pid,
                     _ => return Err(format!("bad worker pid {v:?} (need an integer > 1)")),
                 });
             }
-            "--failover-after" => {
-                failover_after = Some(parse_count(
-                    "failover request count",
-                    &value("--failover-after")?,
-                )?)
+            Arg::Flag("--failover-after") => {
+                failover_after = Some(count("failover request count", flags.value()?)?)
             }
-            other => return Err(format!("unknown loadgen argument {other:?}")),
+            _ => return Err(format!("unknown loadgen argument {:?}", flags.raw())),
         }
     }
     if args.socket.is_some() && args.tcp.is_some() {
@@ -460,48 +440,18 @@ fn sigkill(pid: i32) -> Result<(), String> {
 #[cfg(unix)]
 mod socket {
     use super::{LoadConn, Outcome};
-    use ghr_types::{wire, Endpoint, Stream};
-    use std::io::{BufRead, BufReader, Write};
+    use ghr_types::wire::{self, Frame};
+    use ghr_types::{Endpoint, Stream};
+    use std::io::{BufReader, Write};
 
-    /// Read one whole response frame (header, exact body bytes, `ghr-end`)
-    /// and classify it. A body claim past [`wire::MAX_FRAME_BODY`] is an
-    /// error before anything is allocated for it.
-    pub(super) fn read_frame(reader: &mut impl BufRead) -> Outcome {
-        let Some(header) = read_line(reader) else {
-            return Outcome::Error;
-        };
-        if let Some(reason) = header.strip_prefix(wire::ERROR_PREFIX) {
-            let outcome = if reason == wire::REASON_OVERLOAD {
-                Outcome::Overload
-            } else {
-                Outcome::Error
-            };
-            // Error frames are body-less: just the trailer.
-            return match read_line(reader) {
-                Some(end) if end == wire::FRAME_END => outcome,
-                _ => Outcome::Error,
-            };
-        }
-        let Ok(bytes) = wire::body_len(&header) else {
-            return Outcome::Error;
-        };
-        let mut body = vec![0u8; bytes];
-        if reader.read_exact(&mut body).is_err() {
-            return Outcome::Error;
-        }
-        match read_line(reader) {
-            Some(end) if end == wire::FRAME_END && header.contains(" status=ok ") => Outcome::Ok,
+    /// How a load run counts one answer: a `status=ok` response, an
+    /// overload rejection, or an error (any other frame, or one that did
+    /// not read whole).
+    pub(super) fn outcome(frame: std::io::Result<Frame>) -> Outcome {
+        match frame {
+            Ok(frame) if frame.is_ok() => Outcome::Ok,
+            Ok(frame) if frame.reason() == Some(wire::REASON_OVERLOAD) => Outcome::Overload,
             _ => Outcome::Error,
-        }
-    }
-
-    /// One `\n`-terminated line without its newline; `None` at EOF or on
-    /// a read error.
-    fn read_line(reader: &mut impl BufRead) -> Option<String> {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => Some(line.trim_end_matches('\n').to_string()),
         }
     }
 
@@ -541,7 +491,7 @@ mod socket {
             {
                 return Outcome::Error;
             }
-            read_frame(&mut self.reader)
+            outcome(Frame::read(&mut self.reader))
         }
     }
 }
@@ -723,8 +673,8 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn frame_reader_classifies_frames_and_caps_the_body_claim() {
-        use socket::read_frame;
-        let read = |bytes: &[u8]| read_frame(&mut std::io::Cursor::new(bytes));
+        use ghr_types::wire::Frame;
+        let read = |mut bytes: &[u8]| socket::outcome(Frame::read(&mut bytes));
         let ok =
             b"ghr-response id=0123456789abcdef status=ok bytes=3 evals=0 cached=yes\nok\nghr-end\n";
         assert_eq!(read(ok), Outcome::Ok);
@@ -737,16 +687,11 @@ mod tests {
             Outcome::Error
         );
         assert_eq!(read(&ok[..ok.len() - 4]), Outcome::Error, "torn trailer");
-        // A server claiming ~10 GB of body is answered as an error before
-        // any of it is allocated or read.
-        let header =
-            "ghr-response id=0123456789abcdef status=ok bytes=9999999999 evals=0 cached=yes\n";
-        let mut absurd = std::io::Cursor::new(format!("{header}ok\nghr-end\n").into_bytes());
-        assert_eq!(read_frame(&mut absurd), Outcome::Error);
+        // A server claiming ~10 GB of body is an error (the codec refuses
+        // the claim before reading any of it).
         assert_eq!(
-            absurd.position(),
-            header.len() as u64,
-            "body bytes were read"
+            read(b"ghr-response id=0123456789abcdef status=ok bytes=9999999999 evals=0 cached=yes\nok\nghr-end\n"),
+            Outcome::Error
         );
     }
 }

@@ -13,9 +13,12 @@
 //! always lands on the same worker, whose response cache and replica
 //! snapshots are warm for exactly that id, so adding workers multiplies
 //! aggregate warm throughput instead of spreading every id's cache
-//! entries across all of them. Response frames stream back
-//! byte-identically over either transport; the router never parses a
-//! body.
+//! entries across all of them. The router reads each worker frame with
+//! [`ghr_types::wire::Frame::read`] (header, exactly the `bytes=` body
+//! bytes, trailer) and relays the bytes it read, so response frames
+//! stream back byte-identically over either transport and the router
+//! never parses a body. Its own answers (rejections, join reports) are
+//! built by the same codec.
 //!
 //! Sessions are *pipelined*: a client may write up to `--pipeline K`
 //! request lines (default 8) without waiting for responses. The thread
@@ -64,6 +67,7 @@
 //! makes dead-worker re-routes and join-time rebalances invisible to
 //! clients beyond latency.
 
+use crate::flags::{count, seconds, Arg, Flags};
 use crate::serve;
 use ghr_types::{Endpoint, RequestId};
 use std::time::Duration;
@@ -201,10 +205,10 @@ pub struct RouterOptions {
     /// TCP addresses of already-running workers to attach to
     /// (`--attach-tcp HOST:PORT`, repeatable) — the cross-host leg.
     pub attach_tcp: Vec<String>,
-    /// Concurrent router sessions; `0` resolves `GHR_SESSIONS`, then
-    /// twice the worker count. Spawned workers get the same session cap,
-    /// since every router session may hold one connection to each
-    /// worker; attached workers need at least this many `--sessions`.
+    /// Concurrent router sessions; `0` means twice the worker count.
+    /// Spawned workers get the same session cap, since every router
+    /// session may hold one connection to each worker; attached workers
+    /// need at least this many `--sessions`.
     pub sessions: usize,
     /// Per-worker in-flight budget; past it arrivals for that worker get
     /// `ghr-error reason=overload` immediately. `None` admits everything.
@@ -284,79 +288,27 @@ pub fn parse_router_args(
         ..RouterOptions::default()
     };
     let mut workers: Option<usize> = None;
-    let parse_count = |what: &str, s: &str| -> Result<usize, String> {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad {what} {s:?} (need an integer >= 1)")),
-        }
-    };
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--socket" {
-            opts.socket = Some(it.next().ok_or("--socket needs a path")?.clone());
-        } else if let Some(v) = a.strip_prefix("--socket=") {
-            opts.socket = Some(v.to_string());
-        } else if a == "--tcp" {
-            opts.tcp = Some(it.next().ok_or("--tcp needs HOST:PORT")?.clone());
-        } else if let Some(v) = a.strip_prefix("--tcp=") {
-            opts.tcp = Some(v.to_string());
-        } else if a == "--workers" {
-            workers = Some(parse_count(
-                "worker count",
-                it.next().ok_or("--workers needs a count")?,
-            )?);
-        } else if let Some(v) = a.strip_prefix("--workers=") {
-            workers = Some(parse_count("worker count", v)?);
-        } else if a == "--attach" {
-            opts.attach
-                .push(it.next().ok_or("--attach needs a socket path")?.clone());
-        } else if let Some(v) = a.strip_prefix("--attach=") {
-            opts.attach.push(v.to_string());
-        } else if a == "--attach-tcp" {
-            opts.attach_tcp
-                .push(it.next().ok_or("--attach-tcp needs HOST:PORT")?.clone());
-        } else if let Some(v) = a.strip_prefix("--attach-tcp=") {
-            opts.attach_tcp.push(v.to_string());
-        } else if a == "--sessions" {
-            opts.sessions = parse_count(
-                "session count",
-                it.next().ok_or("--sessions needs a count")?,
-            )?;
-        } else if let Some(v) = a.strip_prefix("--sessions=") {
-            opts.sessions = parse_count("session count", v)?;
-        } else if a == "--worker-inflight" {
-            opts.worker_inflight = Some(parse_count(
-                "in-flight budget",
-                it.next().ok_or("--worker-inflight needs a count")?,
-            )?);
-        } else if let Some(v) = a.strip_prefix("--worker-inflight=") {
-            opts.worker_inflight = Some(parse_count("in-flight budget", v)?);
-        } else if a == "--pipeline" {
-            opts.pipeline = parse_count(
-                "pipeline depth",
-                it.next().ok_or("--pipeline needs a depth")?,
-            )?;
-        } else if let Some(v) = a.strip_prefix("--pipeline=") {
-            opts.pipeline = parse_count("pipeline depth", v)?;
-        } else if a == "--retire-after" {
-            opts.retire_after = Some(parse_idle(
-                it.next().ok_or("--retire-after needs seconds")?,
-            )?);
-        } else if let Some(v) = a.strip_prefix("--retire-after=") {
-            opts.retire_after = Some(parse_idle(v)?);
-        } else if a == "--max-idle" {
-            opts.max_idle = Some(parse_idle(it.next().ok_or("--max-idle needs seconds")?)?);
-        } else if let Some(v) = a.strip_prefix("--max-idle=") {
-            opts.max_idle = Some(parse_idle(v)?);
-        } else if a == "--max-frame" {
-            opts.max_frame = parse_count(
-                "frame cap",
-                it.next().ok_or("--max-frame needs a byte count")?,
-            )?;
-        } else if let Some(v) = a.strip_prefix("--max-frame=") {
-            opts.max_frame = parse_count("frame cap", v)?;
-        } else {
-            return Err(format!("unknown router argument {a:?}"));
+    let mut flags = Flags::new(rest);
+    while let Some(arg) = flags.next() {
+        match arg {
+            Arg::Flag("--socket") => opts.socket = Some(flags.value()?.to_string()),
+            Arg::Flag("--tcp") => opts.tcp = Some(flags.value()?.to_string()),
+            Arg::Flag("--workers") => workers = Some(count("worker count", flags.value()?)?),
+            Arg::Flag("--attach") => opts.attach.push(flags.value()?.to_string()),
+            Arg::Flag("--attach-tcp") => opts.attach_tcp.push(flags.value()?.to_string()),
+            Arg::Flag("--sessions") => opts.sessions = count("session count", flags.value()?)?,
+            Arg::Flag("--worker-inflight") => {
+                opts.worker_inflight = Some(count("in-flight budget", flags.value()?)?)
+            }
+            Arg::Flag("--pipeline") => opts.pipeline = count("pipeline depth", flags.value()?)?,
+            Arg::Flag("--retire-after") => {
+                opts.retire_after = Some(seconds("retirement window", flags.value()?)?)
+            }
+            Arg::Flag("--max-idle") => {
+                opts.max_idle = Some(seconds("idle timeout", flags.value()?)?)
+            }
+            Arg::Flag("--max-frame") => opts.max_frame = count("frame cap", flags.value()?)?,
+            _ => return Err(format!("unknown router argument {:?}", flags.raw())),
         }
     }
     if workers.is_some() && !(opts.attach.is_empty() && opts.attach_tcp.is_empty()) {
@@ -371,13 +323,6 @@ pub fn parse_router_args(
     }
     opts.listen_endpoint()?; // validate the listening place now
     Ok(opts)
-}
-
-fn parse_idle(s: &str) -> Result<Duration, String> {
-    match s.parse::<f64>() {
-        Ok(v) if v > 0.0 && v.is_finite() => Ok(Duration::from_secs_f64(v)),
-        _ => Err(format!("bad idle timeout {s:?} (need seconds > 0)")),
-    }
 }
 
 /// `ghr router [--socket PATH | --tcp HOST:PORT] [--workers N |
@@ -408,9 +353,10 @@ pub fn run_router(_opts: &RouterOptions) -> Result<String, String> {
 mod socket {
     use super::{HashRing, RouterOptions};
     use crate::serve::{self, sig, Admission, RawRead};
-    use ghr_types::{wire, Endpoint, RequestId, RouterStats, RouterWorkerStats, Stream};
+    use ghr_types::wire::{self, Frame};
+    use ghr_types::{Endpoint, RequestId, RouterStats, RouterWorkerStats, Stream};
     use std::collections::VecDeque;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufReader, Write};
     use std::process::{Child, Command, Stdio};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -438,49 +384,6 @@ mod socket {
     /// is declared broken and its lines re-route like any other worker
     /// fault.
     const WORKER_READ_TIMEOUT: Duration = Duration::from_secs(60);
-
-    /// Read one complete `ghr-response`/`ghr-error` frame as raw bytes,
-    /// exactly as the worker wrote them (byte-identical pass-through).
-    fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Vec<u8>> {
-        use std::io::{Error, ErrorKind};
-        let mut frame = Vec::new();
-        if reader.read_until(b'\n', &mut frame)? == 0 {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "worker closed before frame header",
-            ));
-        }
-        let header = std::str::from_utf8(&frame)
-            .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 frame header"))?
-            .trim_end();
-        if header.starts_with(wire::RESPONSE_PREFIX) {
-            let bytes =
-                wire::body_len(header).map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
-            let mark = frame.len();
-            frame.resize(mark + bytes, 0);
-            reader.read_exact(&mut frame[mark..])?;
-        } else if !header.starts_with(wire::ERROR_PREFIX) {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!("unexpected frame header {header:?}"),
-            ));
-        }
-        let mark = frame.len();
-        if reader.read_until(b'\n', &mut frame)? == 0 {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "worker closed before frame trailer",
-            ));
-        }
-        let trailer = std::str::from_utf8(&frame[mark..]).unwrap_or("").trim_end();
-        if trailer != wire::FRAME_END {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!("bad frame trailer {trailer:?}"),
-            ));
-        }
-        Ok(frame)
-    }
 
     /// One worker as the router sees it: where it lives, whether it is
     /// alive, its forwarding counters and in-flight budget. The child
@@ -655,7 +558,7 @@ mod socket {
             Ok(ep) => ep,
             Err(e) => {
                 eprintln!("router[{session}]: join {spec:?} rejected: {e}");
-                return wire::error_frame(wire::REASON_JOIN_FAILED).into_bytes();
+                return Frame::error(wire::REASON_JOIN_FAILED).into_bytes();
             }
         };
         if !endpoint.probe() {
@@ -663,7 +566,7 @@ mod socket {
                 "router[{session}]: join {endpoint} rejected: endpoint does not \
                  accept connections"
             );
-            return wire::error_frame(wire::REASON_JOIN_FAILED).into_bytes();
+            return Frame::error(wire::REASON_JOIN_FAILED).into_bytes();
         }
         let (verb, name, share, live) = {
             let mut members = router.write_members();
@@ -699,14 +602,8 @@ mod socket {
              ~{:.1}% of keys moved to it\n",
             share * 100.0
         );
-        let id = RequestId::of(line);
-        format!(
-            "{}id={id} status=ok bytes={} evals=0 cached=no\n{body}{}\n",
-            wire::RESPONSE_PREFIX,
-            body.len(),
-            wire::FRAME_END
-        )
-        .into_bytes()
+        let id = RequestId::of(line).to_string();
+        Frame::response(&id, "ok", &body, 0, "no").into_bytes()
     }
 
     /// A session's connection to one worker, and the lines written on
@@ -757,9 +654,11 @@ mod socket {
             self.unread.push_back(seq);
         }
 
-        /// The next frame on the wire, or why there is none.
+        /// The next frame on the wire, as the exact bytes the worker
+        /// wrote, or why there is none.
         fn read(&mut self) -> Result<Vec<u8>, String> {
-            read_frame(&mut self.reader)
+            Frame::read(&mut self.reader)
+                .map(Frame::into_bytes)
                 .map_err(|e| self.broken.take().unwrap_or_else(|| e.to_string()))
         }
     }
@@ -826,9 +725,7 @@ mod socket {
                             eprintln!(
                                 "router[{session}]: {line} -> no live worker (id={key:016x})"
                             );
-                            return Slot::Ready(
-                                wire::error_frame(wire::REASON_NO_WORKER).into_bytes(),
-                            );
+                            return Slot::Ready(Frame::error(wire::REASON_NO_WORKER).into_bytes());
                         }
                     }
                 };
@@ -842,7 +739,7 @@ mod socket {
                         "router[{session}]: {line} -> {} rejected (overload)",
                         worker.name
                     );
-                    return Slot::Ready(wire::error_frame(wire::REASON_OVERLOAD).into_bytes());
+                    return Slot::Ready(Frame::error(wire::REASON_OVERLOAD).into_bytes());
                 };
                 if self.conns.len() <= index {
                     self.conns.resize_with(index + 1, || None);
@@ -1013,7 +910,7 @@ mod socket {
                     if !buf.is_empty() {
                         router.malformed.fetch_add(1, Ordering::Relaxed);
                         s.slots.push_back(Slot::Ready(
-                            wire::error_frame(wire::REASON_TRUNCATED).into_bytes(),
+                            Frame::error(wire::REASON_TRUNCATED).into_bytes(),
                         ));
                     }
                     break;
@@ -1025,7 +922,7 @@ mod socket {
                 Err(reason) => {
                     router.malformed.fetch_add(1, Ordering::Relaxed);
                     s.slots
-                        .push_back(Slot::Ready(wire::error_frame(reason).into_bytes()));
+                        .push_back(Slot::Ready(Frame::error(reason).into_bytes()));
                     buf.clear();
                     continue;
                 }
@@ -1202,11 +1099,7 @@ mod socket {
             );
         }
         let sessions = match opts.sessions {
-            0 => std::env::var("GHR_SESSIONS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(worker_count * 2),
+            0 => worker_count * 2,
             n => n,
         };
 

@@ -11,6 +11,9 @@
 //! ghr-end
 //! ```
 //!
+//! Every frame, answer or rejection, is built whole by [`wire::Frame`]
+//! and leaves in one `write`.
+//!
 //! The engine — and therefore its point caches, persistent store and
 //! response cache — lives for the whole server, so a repeated identical
 //! request (same [`ghr_core::Request::id`]) is answered from the response
@@ -63,7 +66,8 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use ghr_core::engine::{Engine, EngineStats, ResponseSource};
-use ghr_types::{wire, SessionStats, StageTiming};
+use ghr_types::wire::{self, Frame};
+use ghr_types::{SessionStats, StageTiming};
 
 /// Longest accepted request line, in bytes. Real requests are a few words;
 /// anything longer is a confused client or a protocol attack.
@@ -275,8 +279,7 @@ pub fn serve_session(
             RawRead::Eof => {
                 if !buf.is_empty() {
                     summary.stats.malformed += 1;
-                    write_error_frame(out, wire::REASON_TRUNCATED)
-                        .map_err(|e| format!("serve: write failed: {e}"))?;
+                    send(out, &Frame::error(wire::REASON_TRUNCATED))?;
                     let _ = writeln!(
                         err,
                         "serve[{session}]: rejected malformed frame ({})",
@@ -292,7 +295,7 @@ pub fn serve_session(
             Ok(s) => s.to_string(),
             Err(reason) => {
                 summary.stats.malformed += 1;
-                write_error_frame(out, reason).map_err(|e| format!("serve: write failed: {e}"))?;
+                send(out, &Frame::error(reason))?;
                 let _ = writeln!(err, "serve[{session}]: rejected malformed frame ({reason})");
                 buf.clear();
                 continue;
@@ -322,8 +325,7 @@ pub fn serve_session(
         let permit = match config.admission.map(Admission::try_admit) {
             Some(None) => {
                 summary.stats.overloaded += 1;
-                write_error_frame(out, wire::REASON_OVERLOAD)
-                    .map_err(|e| format!("serve: write failed: {e}"))?;
+                send(out, &Frame::error(wire::REASON_OVERLOAD))?;
                 let _ = writeln!(err, "serve[{session}]: rejected {line} (overload)");
                 if shutdown.load(Ordering::SeqCst) {
                     break;
@@ -359,8 +361,7 @@ pub fn serve_session(
                 ("error", "-".repeat(16), format!("error: {e}\n"), "no", 0)
             }
         };
-        write_frame(out, &id, status, &body, evals, cached)
-            .map_err(|e| format!("serve: write failed: {e}"))?;
+        send(out, &Frame::response(&id, status, &body, evals, cached))?;
         // The client has its answer now; the flush after it is not part
         // of the request's time.
         let ms = t0.elapsed().as_secs_f64() * 1000.0;
@@ -430,31 +431,11 @@ fn serve_one(
     ))
 }
 
-fn write_frame(
-    out: &mut impl Write,
-    id: &str,
-    status: &str,
-    body: &str,
-    evals: u64,
-    cached: &str,
-) -> std::io::Result<()> {
-    writeln!(
-        out,
-        "{}id={id} status={status} bytes={} evals={evals} cached={cached}",
-        wire::RESPONSE_PREFIX,
-        body.len(),
-    )?;
-    out.write_all(body.as_bytes())?;
-    writeln!(out, "{}", wire::FRAME_END)?;
-    out.flush()
-}
-
-/// Reject a malformed line at the framing layer: a body-less error frame
-/// naming the violation, so the client learns *why* without the server
-/// ever parsing the bytes as a request.
-pub(crate) fn write_error_frame(out: &mut impl Write, reason: &str) -> std::io::Result<()> {
-    out.write_all(wire::error_frame(reason).as_bytes())?;
-    out.flush()
+/// Write one whole frame to the session's output as one buffer.
+fn send(out: &mut impl Write, frame: &Frame) -> Result<(), String> {
+    out.write_all(frame.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("serve: write failed: {e}"))
 }
 
 /// Render the engine counters and per-stage executor timings as one JSON

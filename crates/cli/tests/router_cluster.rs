@@ -8,6 +8,7 @@
 #![cfg(unix)]
 
 use ghr_cli::router::{route_key, run_router, HashRing, RouterOptions};
+use ghr_types::wire;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -61,26 +62,12 @@ fn client(socket: &Path, lines: &str) -> String {
 /// Split a concatenation of `ghr-response`/`ghr-error` frames into
 /// `(header, body)` pairs.
 fn parse_frames(text: &str) -> Vec<(String, String)> {
+    let mut rest = text.as_bytes();
     let mut frames = Vec::new();
-    let mut rest = text;
     while !rest.is_empty() {
-        let (header, tail) = rest.split_once('\n').expect("frame header line");
-        if header.starts_with("ghr-error ") {
-            let tail = tail.strip_prefix("ghr-end\n").expect("error frame trailer");
-            frames.push((header.to_string(), String::new()));
-            rest = tail;
-            continue;
-        }
-        let bytes: usize = header
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("bytes="))
-            .expect("bytes= in header")
-            .parse()
-            .unwrap();
-        let body = &tail[..bytes];
-        let tail = tail[bytes..].strip_prefix("ghr-end\n").expect("trailer");
-        frames.push((header.to_string(), body.to_string()));
-        rest = tail;
+        let frame = wire::Frame::read(&mut rest).expect("a whole frame");
+        let body = String::from_utf8(frame.body().to_vec()).unwrap();
+        frames.push((frame.header().to_string(), body));
     }
     frames
 }

@@ -8,6 +8,7 @@
 use ghr_cli::serve::serve_loop;
 use ghr_core::engine::Engine;
 use ghr_machine::MachineConfig;
+use ghr_types::wire;
 use std::io::BufReader;
 
 /// One parsed response frame.
@@ -21,39 +22,20 @@ struct Frame {
 }
 
 fn parse_frames(out: &str) -> Vec<Frame> {
+    let mut rest = out.as_bytes();
     let mut frames = Vec::new();
-    let mut lines = out.lines();
-    while let Some(header) = lines.next() {
-        assert!(
-            header.starts_with("ghr-response "),
-            "expected a frame header, got {header:?}"
-        );
+    while !rest.is_empty() {
+        let frame = wire::Frame::read(&mut rest).expect("a whole frame");
         let field = |name: &str| -> String {
-            header
-                .split(&format!(" {name}="))
-                .nth(1)
-                .unwrap_or_else(|| panic!("missing {name} in {header:?}"))
-                .split_whitespace()
-                .next()
-                .unwrap()
-                .to_string()
+            let missing = || panic!("missing {name} in {:?}", frame.header());
+            frame.field(name).unwrap_or_else(missing).to_string()
         };
-        let bytes: usize = field("bytes").parse().unwrap();
-        let mut body = String::with_capacity(bytes);
-        for line in lines.by_ref() {
-            if line == "ghr-end" {
-                break;
-            }
-            body.push_str(line);
-            body.push('\n');
-        }
-        assert_eq!(body.len(), bytes, "header byte count vs actual body");
         frames.push(Frame {
             id: field("id"),
             status: field("status"),
             evals: field("evals").parse().unwrap(),
             cached: field("cached") == "yes",
-            body,
+            body: String::from_utf8(frame.body().to_vec()).unwrap(),
         });
     }
     frames

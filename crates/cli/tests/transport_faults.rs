@@ -111,28 +111,30 @@ fn client(ep: &Endpoint, lines: &str) -> String {
 /// Split a concatenation of `ghr-response`/`ghr-error` frames into
 /// `(header, body)` pairs.
 fn parse_frames(text: &str) -> Vec<(String, String)> {
+    let mut rest = text.as_bytes();
     let mut frames = Vec::new();
-    let mut rest = text;
     while !rest.is_empty() {
-        let (header, tail) = rest.split_once('\n').expect("frame header line");
-        if header.starts_with("ghr-error ") {
-            let tail = tail.strip_prefix("ghr-end\n").expect("error frame trailer");
-            frames.push((header.to_string(), String::new()));
-            rest = tail;
-            continue;
-        }
-        let bytes: usize = header
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("bytes="))
-            .expect("bytes= in header")
-            .parse()
-            .unwrap();
-        let body = &tail[..bytes];
-        let tail = tail[bytes..].strip_prefix("ghr-end\n").expect("trailer");
-        frames.push((header.to_string(), body.to_string()));
-        rest = tail;
+        let frame = wire::Frame::read(&mut rest).expect("a whole frame");
+        let body = String::from_utf8(frame.body().to_vec()).unwrap();
+        frames.push((frame.header().to_string(), body));
     }
     frames
+}
+
+/// A frame as the text a client reads.
+fn frame_text(frame: wire::Frame) -> String {
+    String::from_utf8(frame.into_bytes()).unwrap()
+}
+
+/// A well-formed `status=ok` frame carrying `body`.
+fn valid_frame(body: &str) -> String {
+    frame_text(wire::Frame::response(
+        "0123456789abcdef",
+        "ok",
+        body,
+        0,
+        "yes",
+    ))
 }
 
 /// How a scripted fake worker misbehaves on its response path.
@@ -251,13 +253,7 @@ fn fake_worker_round(tcp: bool, tag: &str, script: Script, lines: &str) -> Strin
 /// must reach the client byte-identically: the router reassembles the
 /// frame from however many reads the transport takes.
 fn dribbled_frame_passes_through(tcp: bool) {
-    let body = "dribbled but intact\n";
-    let frame = format!(
-        "{}id=0123456789abcdef status=ok bytes={} evals=0 cached=yes\n{body}{}\n",
-        wire::RESPONSE_PREFIX,
-        body.len(),
-        wire::FRAME_END
-    );
+    let frame = valid_frame("dribbled but intact\n");
     let tag = if tcp { "dribble-tcp" } else { "dribble-unix" };
     let out = fake_worker_round(
         tcp,
@@ -288,13 +284,7 @@ fn dribbled_frame_passes_through_tcp() {
 /// frame is read, so the second is always the one caught on the closed
 /// connection.
 fn stale_connection_is_retried_once(tcp: bool) {
-    let body = "answered once per connection\n";
-    let frame = format!(
-        "{}id=0123456789abcdef status=ok bytes={} evals=0 cached=yes\n{body}{}\n",
-        wire::RESPONSE_PREFIX,
-        body.len(),
-        wire::FRAME_END
-    );
+    let frame = valid_frame("answered once per connection\n");
     let tag = if tcp { "stale-tcp" } else { "stale-unix" };
     let out = fake_worker_round(
         tcp,
@@ -334,12 +324,7 @@ fn broken_frames_surface_reasoned_errors(tcp: bool) {
         let out = fake_worker_round(tcp, &tag, script, "table1\n");
         assert_eq!(
             out,
-            format!(
-                "{}{}\n{}\n",
-                wire::ERROR_PREFIX,
-                wire::REASON_NO_WORKER,
-                wire::FRAME_END
-            ),
+            frame_text(wire::Frame::error(wire::REASON_NO_WORKER)),
             "tcp={tcp} script={tag}: a broken worker frame must become a reasoned error"
         );
         assert!(
@@ -491,7 +476,7 @@ fn client_side_battery(tcp: bool) {
         stream.read_to_string(&mut out).unwrap();
         assert_eq!(
             out,
-            format!("{}{reason}\n{}\n", wire::ERROR_PREFIX, wire::FRAME_END),
+            frame_text(wire::Frame::error(reason)),
             "tcp={tcp}: framing violation must name its reason"
         );
     }

@@ -16,7 +16,6 @@ use ghr_types::{DType, Result};
 
 /// Error of every strategy at one element count.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyRow {
     /// Element count.
     pub m: u64,
@@ -30,7 +29,6 @@ pub struct AccuracyRow {
 
 /// The full study: one row per element count.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyStudy {
     /// Rows in ascending `m`.
     pub rows: Vec<AccuracyRow>,

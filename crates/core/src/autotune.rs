@@ -10,7 +10,6 @@ use ghr_types::Result;
 
 /// The result of autotuning one case.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TunedConfig {
     /// The case that was tuned.
     pub case: Case,

@@ -8,7 +8,6 @@ pub const M_PAPER: u64 = 1_048_576_000;
 
 /// One of the paper's evaluation cases (Section III.B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Case {
     /// `T = R = i32`, 1 048 576 000 elements.
     C1,

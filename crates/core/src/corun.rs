@@ -39,7 +39,6 @@ use ghr_types::{Bytes, Result, SimTime};
 
 /// Where the input array is allocated relative to the `p` loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AllocSite {
     /// Once, before the `p` loop (the paper's A1).
     A1,
@@ -58,7 +57,6 @@ impl std::fmt::Display for AllocSite {
 
 /// Configuration of one co-execution series (one curve of Figs. 2/4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorunConfig {
     /// The evaluation case.
     pub case: Case,
@@ -124,7 +122,6 @@ impl CorunConfig {
 
 /// One measured point (one `p` value) of a co-execution series.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorunPoint {
     /// CPU fraction of the workload.
     pub p: f64,
@@ -142,7 +139,6 @@ pub struct CorunPoint {
 
 /// A full co-execution series: bandwidth as a function of `p`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorunSeries {
     /// The configuration that produced it.
     pub config: CorunConfig,

@@ -9,13 +9,13 @@
 //! the co-run GPU-only leg). The pipeline exploits both properties in
 //! three explicit layers:
 //!
-//! 1. A declarative [`Request`](crate::request::Request) says *what* to
+//! 1. A declarative [`Request`] says *what* to
 //!    compute and nothing about how (see [`crate::request`]).
 //! 2. The [`Planner`] lowers a request into a [`Plan`]: a deduplicated
 //!    DAG of cacheable [`WorkItem`]s, consulting both caches *without
 //!    executing anything* so the plan predicts its own hit rate (see
 //!    [`crate::plan`]).
-//! 3. The [`Executor`](crate::exec::Executor) walks the plan's stages on
+//! 3. The [`Executor`] walks the plan's stages on
 //!    the worker pool with per-stage timing, then assembles typed
 //!    responses from the now-warm caches (see [`crate::exec`]).
 //!
@@ -1471,7 +1471,7 @@ impl Engine {
 
     /// Coarse-to-fine sweep: the same [`SweepResult::best`] as the
     /// exhaustive grid while evaluating only a fraction of it (see
-    /// [`Engine::refine_search`] for the algorithm and its invariant).
+    /// `Engine::refine_search` for the algorithm and its invariant).
     pub fn sweep_refined(&self, sweep: &GpuSweep) -> Result<SweepResult> {
         self.sweep_mode(sweep, SweepMode::Refined)
     }

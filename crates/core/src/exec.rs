@@ -1,7 +1,7 @@
 //! The executor: walk a lowered [`Plan`] on the engine's worker pool.
 //!
 //! Stages run in plan order — a fan stage spreads its work items across
-//! the pool ([`Engine::map_items`]); an adaptive refine stage runs the
+//! the pool (`Engine::map_items`); an adaptive refine stage runs the
 //! coarse-to-fine binary search serially on the caller's thread (its
 //! probes are chosen from the coarse stage's now-cached results). Each
 //! stage is timed and its work accounted (items, fresh evaluations,

@@ -16,7 +16,6 @@ use ghr_types::{Bytes, GhrError, Result, SimTime};
 
 /// One repetition's trace at the examined `p`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RepTrace {
     /// Repetition index (0-based).
     pub rep: u32,
@@ -53,7 +52,6 @@ impl RepTrace {
 
 /// The full explanation of one co-execution point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointExplanation {
     /// The examined configuration.
     pub config: CorunConfig,

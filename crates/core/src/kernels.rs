@@ -48,7 +48,6 @@ pub fn workload_m(kind: WorkloadKind, case: Case, m: Option<u64>) -> u64 {
 
 /// Where the first-touch policy put the workload's input pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// Populated in CPU memory (LPDDR5X): the CPU leg won the roofline.
     Host,

@@ -7,7 +7,6 @@ use ghr_types::{Bandwidth, Result};
 
 /// Which kernel variant a driver runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KernelKind {
     /// Listing 2: no geometry clauses, one element per iteration — the
     /// NVHPC runtime heuristics size the grid.
@@ -24,7 +23,6 @@ pub enum KernelKind {
 
 /// A fully-specified reduction experiment: a case plus a kernel variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReductionSpec {
     /// The evaluation case (input/accumulator types and scale).
     pub case: Case,

@@ -28,7 +28,6 @@ use ghr_types::{Bytes, GhrError, Result, SimTime};
 
 /// A policy deciding how each repetition's work splits across devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SplitPolicy {
     /// Fixed CPU fraction (the paper's design).
     Static {
@@ -63,7 +62,6 @@ impl std::fmt::Display for SplitPolicy {
 
 /// Configuration of one scheduling experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedConfig {
     /// The evaluation case.
     pub case: Case,
@@ -102,7 +100,6 @@ impl SchedConfig {
 
 /// Result of one scheduling experiment.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedOutcome {
     /// The configuration.
     pub config: SchedConfig,

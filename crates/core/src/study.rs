@@ -11,7 +11,6 @@ use ghr_types::Result;
 
 /// All sixteen series of Figures 2 and 4, in case order.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorunStudy {
     /// Fig. 2a: baseline kernels, allocation at A1.
     pub a1_base: Vec<CorunSeries>,
@@ -25,7 +24,6 @@ pub struct CorunStudy {
 
 /// The aggregate quantities the paper reports in Section IV's text.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StudySummary {
     /// Per-case peak speedups over GPU-only, Fig. 2a (paper: 2.732, 2.246,
     /// 2.692, 2.297; average 2.492).

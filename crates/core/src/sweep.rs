@@ -9,7 +9,6 @@ use ghr_types::Result;
 /// The paper's sweep: teams axis 128..65536 (powers of two), V 1..32
 /// (powers of two), thread_limit 256.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuSweep {
     /// The evaluation case.
     pub case: Case,
@@ -25,7 +24,6 @@ pub struct GpuSweep {
 
 /// One measured point of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// Teams-axis value (the figure's x-axis).
     pub teams_axis: u64,
@@ -37,7 +35,6 @@ pub struct SweepPoint {
 
 /// How a sweep's (teams, V) grid was explored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SweepMode {
     /// Every grid point evaluated (the paper's full 10×6 grid).
     Exhaustive,
@@ -61,7 +58,6 @@ impl std::fmt::Display for SweepMode {
 
 /// The complete sweep result for one case (one of Fig. 1a–1d).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepResult {
     /// The sweep that produced this result.
     pub sweep: GpuSweep,

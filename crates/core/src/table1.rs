@@ -22,7 +22,6 @@ pub mod paper {
 
 /// One row of the reproduced Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// The case.
     pub case: Case,
@@ -40,7 +39,6 @@ pub struct Table1Row {
 
 /// The reproduced Table 1.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1 {
     /// Peak GPU memory bandwidth used as the efficiency denominator.
     pub peak_gbps: f64,

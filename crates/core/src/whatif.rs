@@ -28,7 +28,6 @@ use ghr_types::Result;
 
 /// A runtime-side scenario applied to the unmodified baseline code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RuntimeScenario {
     /// NVHPC as profiled by the paper.
     AsShipped,
@@ -61,7 +60,6 @@ impl std::fmt::Display for RuntimeScenario {
 
 /// One case's bandwidth under a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WhatIfRow {
     /// The scenario.
     pub scenario: RuntimeScenario,
@@ -71,7 +69,6 @@ pub struct WhatIfRow {
 
 /// The full study.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WhatIfStudy {
     /// One row per scenario (AsShipped first).
     pub rows: Vec<WhatIfRow>,

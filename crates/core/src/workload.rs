@@ -41,7 +41,6 @@ impl SplitMix64 {
 
 /// A reproducible input distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Workload {
     /// The deterministic index pattern used by the verification layer
     /// (exact integer sums, well-conditioned float sums).

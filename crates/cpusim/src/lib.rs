@@ -30,7 +30,6 @@ use ghr_types::{Bandwidth, Bytes, DType, SimTime};
 /// Fitted parameters of the CPU loop model (everything that is not a
 /// datasheet number).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuModelParams {
     /// Cost of entering/leaving the OpenMP parallel region (fork + implicit
     /// barrier + combining per-thread partials).
@@ -59,7 +58,6 @@ impl Default for CpuModelParams {
 
 /// Timing breakdown of one modelled CPU reduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuReduceBreakdown {
     /// Time the memory system needs to deliver the elements.
     pub memory: SimTime,

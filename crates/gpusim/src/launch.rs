@@ -9,7 +9,6 @@ use ghr_types::{Bytes, DType, GhrError, Result};
 /// into an accumulator of type `acc`, with `v` elements added per loop
 /// iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LaunchConfig {
     /// Number of teams (the CUDA grid size). This is the value of the
     /// `num_teams` clause — i.e. already divided by `v` if the caller

@@ -7,7 +7,6 @@ use ghr_types::{Bandwidth, Bytes, CombinePattern, GhrError, KernelDescriptor, Re
 
 /// Timing breakdown of one modelled kernel execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuKernelBreakdown {
     /// Launch / target-region entry overhead.
     pub launch: SimTime,

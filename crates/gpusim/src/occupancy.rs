@@ -12,7 +12,6 @@ use ghr_machine::GpuSpec;
 
 /// Per-SM resource capacities (H100 values by default).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SmResources {
     /// 32-bit registers per SM.
     pub registers: u32,
@@ -34,7 +33,6 @@ impl Default for SmResources {
 
 /// Resource footprint of one team of the generated reduction kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TeamFootprint {
     /// Threads per team.
     pub threads: u32,
@@ -64,7 +62,6 @@ impl TeamFootprint {
 
 /// Which resource bounds occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OccupancyLimit {
     /// Resident-thread ceiling.
     Threads,
@@ -78,7 +75,6 @@ pub enum OccupancyLimit {
 
 /// Occupancy analysis result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Occupancy {
     /// Teams resident per SM.
     pub teams_per_sm: u32,

@@ -4,7 +4,6 @@ use ghr_types::{CombineClass, DType, SimTime, WidthClass};
 
 /// How per-team partial results are combined into the final value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CombineStrategy {
     /// One device-wide combine operation per team (NVHPC's generated
     /// code; atomic-like, with per-accumulator-type cost). This is what
@@ -24,7 +23,6 @@ pub enum CombineStrategy {
 /// GH200 preset reproduces the paper's Table 1; each field's doc comment
 /// records which observation pins it down.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuModelParams {
     /// Kernel launch + OpenMP target-region entry/exit cost per repetition
     /// (driver submission, `target update` of the scalar `sum`).

@@ -1,11 +1,9 @@
 //! Property and structure tests of the GPU timing model across the whole
 //! launch space.
 //!
-//! Two modes, same invariants: shrinking proptest strategies with
-//! `--features proptest` (registry access required to restore the crate
-//! to [dev-dependencies]), and a std-only SplitMix64 fallback by
-//! default so the properties run offline on every `cargo test`. The
-//! paper-grid structure test runs in both modes.
+//! Each property runs over SplitMix64-seeded random launches: std-only
+//! and deterministic, so every `cargo test` exercises it offline. The
+//! paper-grid structure test walks the paper's own launch grid.
 
 use ghr_gpusim::{GpuModel, LaunchConfig};
 use ghr_machine::GpuSpec;
@@ -15,104 +13,7 @@ fn model() -> GpuModel {
     GpuModel::new(GpuSpec::h100_sxm_gh200())
 }
 
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use super::model;
-    use ghr_gpusim::{GpuModel, GpuModelParams, LaunchConfig};
-    use ghr_machine::GpuSpec;
-    use ghr_types::DType;
-    use proptest::prelude::*;
-
-    fn any_launch() -> impl Strategy<Value = LaunchConfig> {
-        (
-            1u64..20_000_000,
-            prop_oneof![
-                Just(32u32),
-                Just(64),
-                Just(128),
-                Just(256),
-                Just(512),
-                Just(1024)
-            ],
-            prop_oneof![Just(1u32), Just(2), Just(4), Just(8), Just(16), Just(32)],
-            1u64..5_000_000_000,
-            prop_oneof![
-                Just((DType::I32, DType::I32)),
-                Just((DType::I8, DType::I64)),
-                Just((DType::F32, DType::F32)),
-                Just((DType::F64, DType::F64)),
-            ],
-        )
-            .prop_map(
-                |(num_teams, threads_per_team, v, m, (elem, acc))| LaunchConfig {
-                    num_teams,
-                    threads_per_team,
-                    v,
-                    m,
-                    elem,
-                    acc,
-                },
-            )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The model never produces invalid time or bandwidth above peak.
-        #[test]
-        fn outputs_are_physical(cfg in any_launch()) {
-            let m = model();
-            let b = m.reduce(&cfg).unwrap();
-            prop_assert!(b.total.is_valid_span());
-            prop_assert!(b.memory.is_valid_span());
-            prop_assert!(b.compute.is_valid_span());
-            prop_assert!(b.team_pipeline.is_valid_span());
-            prop_assert!(b.effective_bw.as_gbps() > 0.0);
-            prop_assert!(b.effective_bw.as_gbps() <= m.spec().hbm_peak_bw.as_gbps() + 1e-9);
-            prop_assert!(b.total >= b.launch);
-        }
-
-        /// Doubling the elements never makes the kernel faster.
-        #[test]
-        fn monotone_in_m(cfg in any_launch()) {
-            let m = model();
-            let t1 = m.reduce(&cfg).unwrap().total;
-            let mut big = cfg;
-            big.m = cfg.m.saturating_mul(2);
-            let t2 = m.reduce(&big).unwrap().total;
-            prop_assert!(t2 >= t1);
-        }
-
-        /// A lower supply roof never makes the kernel faster.
-        #[test]
-        fn supply_cap_is_monotone(cfg in any_launch(), cap_gbps in 10.0f64..4000.0) {
-            let m = model();
-            let free = m.reduce(&cfg).unwrap().total;
-            let capped = m
-                .reduce_with_supply(&cfg, Some(ghr_types::Bandwidth::gbps(cap_gbps)))
-                .unwrap()
-                .total;
-            prop_assert!(capped >= free);
-        }
-
-        /// Raising per-team overhead never speeds anything up.
-        #[test]
-        fn team_overhead_is_monotone(cfg in any_launch(), factor in 1.0f64..10.0) {
-            let base = model().reduce(&cfg).unwrap().total;
-            let mut params = GpuModelParams::default();
-            params.team_overhead_ns *= factor;
-            let slower = GpuModel::with_params(GpuSpec::h100_sxm_gh200(), params)
-                .reduce(&cfg)
-                .unwrap()
-                .total;
-            prop_assert!(slower >= base);
-        }
-    }
-}
-
-/// Std-only fallback: the same invariants over SplitMix64-seeded random
-/// launches (no shrinking, but exercised offline on every `cargo test`).
-#[cfg(not(feature = "proptest"))]
+/// The properties, each over SplitMix64-seeded random launches.
 mod std_fallback {
     use super::model;
     use ghr_gpusim::{GpuModel, GpuModelParams, LaunchConfig};

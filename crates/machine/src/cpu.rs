@@ -10,7 +10,6 @@ use ghr_types::{Bandwidth, Bytes, Frequency};
 /// commonly measured around 450 GB/s, which is what a streaming sum
 /// reduction sees.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuSpec {
     /// Marketing name, for reports.
     pub name: String,

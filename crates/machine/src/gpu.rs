@@ -8,7 +8,6 @@ use ghr_types::{Bandwidth, Bytes, Frequency};
 /// GH200 node with 96 GB HBM3 and a measured peak memory bandwidth of
 /// 4022.7 GB/s (the paper's efficiency denominator).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuSpec {
     /// Marketing name, for reports.
     pub name: String,

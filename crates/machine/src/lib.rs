@@ -14,8 +14,8 @@
 //!   overheads, instruction costs, latency constants) that are fitted so the
 //!   simulated reduction reproduces the paper's measurements.
 //!
-//! Everything is plain serde-serializable data so experiments can be run
-//! against hypothetical machines (see `MachineConfig::gh200` and the
+//! Everything is plain data, so experiments can be run against
+//! hypothetical machines (see `MachineConfig::gh200` and the
 //! `custom_machine` example).
 
 #![warn(missing_docs)]

@@ -11,7 +11,6 @@ use ghr_types::Bandwidth;
 /// substantially lower because Grace cores cannot keep enough requests in
 /// flight against the longer cross-chip latency.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkSpec {
     /// Marketing name, for reports.
     pub name: String,
@@ -36,7 +35,6 @@ pub struct LinkSpec {
 /// repetitions. These two constants are fitted against the paper's
 /// Section IV observations (see `ghr-core::corun` and EXPERIMENTS.md).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationSpec {
     /// Effective throughput of access-counter-driven CPU→GPU migration.
     pub counter_migration_bw: Bandwidth,

@@ -6,7 +6,6 @@ use ghr_types::Bytes;
 /// A complete node: host CPU, target GPU, interconnect, and the page size
 /// used by the unified-memory system.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Host CPU description.
     pub cpu: CpuSpec,

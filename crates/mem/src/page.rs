@@ -2,7 +2,6 @@
 
 /// Which physical memory currently backs a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Residency {
     /// Not yet populated — no physical backing until first touch.
     Untouched,
@@ -14,7 +13,6 @@ pub enum Residency {
 
 /// Mutable state of one unified-memory page.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageState {
     /// Current physical placement.
     pub residency: Residency,

@@ -5,7 +5,6 @@ use ghr_types::Bytes;
 
 /// Opaque handle to a unified-memory allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionId(pub(crate) u64);
 
 impl std::fmt::Display for RegionId {

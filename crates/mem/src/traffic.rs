@@ -9,7 +9,6 @@ use ghr_types::Bytes;
 /// cross-link streaming rate, migrated bytes at the (much slower)
 /// driver-mediated migration rate.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessOutcome {
     /// Bytes read from the accessing device's local memory.
     pub local: Bytes,
@@ -41,7 +40,6 @@ impl AccessOutcome {
 
 /// Cumulative traffic counters for a whole [`super::UnifiedMemory`] instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficStats {
     /// GPU accesses satisfied from HBM.
     pub gpu_local: Bytes,

@@ -1,12 +1,9 @@
 //! Property tests of the unified-memory state machine under arbitrary
 //! access traces.
 //!
-//! Two modes, same invariants: shrinking proptest strategies with
-//! `--features proptest` (registry access required to restore the crate
-//! to [dev-dependencies]), and a std-only SplitMix64 fallback by
-//! default so the properties run offline on every `cargo test`. The
-//! fallback also replays the case proptest once shrank a failure to
-//! (`len = 1`, saved in `proptest_um.proptest-regressions`).
+//! Each property runs over SplitMix64-seeded random traces: std-only and
+//! deterministic, so every `cargo test` exercises it offline. A one-byte
+//! region (`len = 1`), a case that once failed, is replayed on its own.
 
 use ghr_machine::MachineConfig;
 use ghr_mem::{CpuAccessPolicy, Residency, UnifiedMemory};
@@ -110,102 +107,7 @@ fn gpu_pass_residue(pages: u64) -> (u64, u64, u64) {
     (u, c, um.stats().pages_migrated - before)
 }
 
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (0..4u8, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(k, a, b)| Op::of(k, a, b))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Under any trace: page counts are conserved, outcomes account for
-        /// exactly the requested bytes, and stats never decrease.
-        #[test]
-        fn trace_invariants(
-            len in 1u64..200_000,
-            page in prop_oneof![Just(512u64), Just(4096), Just(65536)],
-            ops in proptest::collection::vec(op_strategy(), 1..40),
-        ) {
-            if let Err(e) = check_trace(len, page, &ops) {
-                prop_assert!(false, "{}", e);
-            }
-        }
-
-        /// A full GPU pass after CPU initialization leaves no CPU-resident
-        /// pages (threshold 1), and further passes are free of migration.
-        /// Lengths are whole pages: a partial trailing page never accumulates
-        /// a full access-counter pass and legitimately stays CPU-resident.
-        #[test]
-        fn full_gpu_pass_settles(pages in 1u64..32) {
-            prop_assert_eq!(gpu_pass_residue(pages), (0, 0, 0));
-        }
-
-        /// With the migrate-back policy, CPU and GPU passes ping-pong pages —
-        /// and the page count still balances. Whole-page lengths (see above).
-        #[test]
-        fn migrate_back_ping_pong(pages in 1u64..12, rounds in 1usize..6) {
-            let len = pages * 4096;
-            let machine = machine_with_pages(4096);
-            let mut um = UnifiedMemory::new(&machine);
-            um.set_cpu_policy(CpuAccessPolicy::MigrateBack { passes: 1.0 });
-            let rid = um.alloc(Bytes(len));
-            um.cpu_access(rid, Bytes::ZERO, Bytes(len));
-            for _ in 0..rounds {
-                um.gpu_access(rid, Bytes::ZERO, Bytes(len));
-                prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Gpu);
-                um.cpu_access(rid, Bytes::ZERO, Bytes(len));
-                prop_assert_eq!(um.residency_at(rid, Bytes::ZERO), Residency::Cpu);
-            }
-            // Each round migrates every page twice.
-            prop_assert_eq!(um.stats().pages_migrated, 2 * pages * rounds as u64);
-        }
-
-        /// Raising the migration threshold strictly delays migration: with
-        /// threshold k, the first k-1 full passes stay remote.
-        #[test]
-        fn threshold_delays_migration(k in 2u32..6) {
-            let machine = machine_with_pages(4096);
-            let mut um = UnifiedMemory::new(&machine);
-            um.set_gpu_migrate_threshold(k as f64);
-            let len = Bytes(40_960);
-            let rid = um.alloc(len);
-            um.cpu_access(rid, Bytes::ZERO, len);
-            for pass in 1..k {
-                let out = um.gpu_access(rid, Bytes::ZERO, len);
-                prop_assert_eq!(out.remote, len, "pass {}", pass);
-            }
-            let out = um.gpu_access(rid, Bytes::ZERO, len);
-            prop_assert_eq!(out.migrated, len);
-        }
-
-        /// Disjoint regions never interact.
-        #[test]
-        fn regions_are_isolated(l1 in 1u64..50_000, l2 in 1u64..50_000) {
-            let machine = machine_with_pages(4096);
-            let mut um = UnifiedMemory::new(&machine);
-            let a = um.alloc(Bytes(l1));
-            let b = um.alloc(Bytes(l2));
-            um.cpu_access(a, Bytes::ZERO, Bytes(l1));
-            um.gpu_access(b, Bytes::ZERO, Bytes(l2));
-            let (_, c_a, g_a) = um.residency_histogram(a);
-            let (_, c_b, g_b) = um.residency_histogram(b);
-            prop_assert_eq!(g_a, 0);
-            prop_assert_eq!(c_b, 0);
-            prop_assert_eq!(c_a, l1.div_ceil(4096));
-            prop_assert_eq!(g_b, l2.div_ceil(4096));
-            um.free(a);
-            prop_assert_eq!(um.len(b), Bytes(l2));
-        }
-    }
-}
-
-/// Std-only fallback: the same invariants over SplitMix64-seeded random
-/// inputs (no shrinking, but exercised offline on every `cargo test`).
-#[cfg(not(feature = "proptest"))]
+/// The properties, each over SplitMix64-seeded random inputs.
 mod std_fallback {
     use super::*;
 
@@ -251,7 +153,7 @@ mod std_fallback {
         }
     }
 
-    /// The saved shrink: a one-byte region, which is a single partial
+    /// The case that once failed: a one-byte region, a single partial
     /// page, under every op kind at both ends of its range and every
     /// page size.
     #[test]

@@ -5,7 +5,6 @@
 /// The paper studies `+`; the other arithmetic identifiers are implemented
 /// on the host path as an extension and documented as such.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReductionOp {
     /// `reduction(+ : sum)` — the paper's operator.
     Plus,
@@ -37,7 +36,6 @@ impl std::fmt::Display for ReductionOp {
 /// In unified-memory mode the clause performs no allocation or transfer
 /// (the paper, Section IV.A); the runtime keeps it for placement hints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MapKind {
     /// `map(to: ...)` — host to device before the region.
     To,

@@ -11,7 +11,6 @@ use ghr_types::{GhrError, Result};
 
 /// An OpenMP loop schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Schedule {
     /// `schedule(static)` — one contiguous chunk per thread (the default
     /// for the paper's loop).
@@ -22,7 +21,6 @@ pub enum Schedule {
 
 /// A host `parallel for [simd]` region.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HostRegion {
     /// `reduction(op : sum)`.
     pub reduction: ReductionOp,

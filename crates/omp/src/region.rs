@@ -20,7 +20,6 @@ use ghr_types::{DType, GhrError, Result};
 /// (Listing 4/5); it is carried here because it changes both the iteration
 /// count the runtime sees and the generated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TargetRegion {
     /// `reduction(op : sum)`.
     pub reduction: ReductionOp,

@@ -17,7 +17,7 @@
 //!   slice through the pool preserving index order — the primitive the
 //!   experiment engine in `ghr-core` fans its grids with.
 //!
-//! Threads that block in [`Scope::wait_all`] *help*: they drain queued jobs
+//! Threads that block in `Scope::wait_all` *help*: they drain queued jobs
 //! while waiting, so nested scopes (a pooled job opening its own scope)
 //! cannot deadlock even on a one-worker pool.
 

@@ -1,96 +1,9 @@
 //! Property tests of the real reduction kernels and the thread pool.
 //!
-//! Two modes, same invariants: shrinking proptest strategies with
-//! `--features proptest` (registry access required to restore the crate
-//! to [dev-dependencies]), and a std-only SplitMix64 fallback by
-//! default so the properties run offline on every `cargo test`.
+//! Each property runs over SplitMix64-seeded random cases: std-only and
+//! deterministic, so every `cargo test` exercises it offline.
 
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use ghr_parallel::{
-        parallel_max, parallel_min, parallel_sum, parallel_sum_unrolled, sum_kahan, sum_pairwise,
-        sum_sequential, sum_unrolled, ChunkPolicy, ThreadPool,
-    };
-    use proptest::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Every integer kernel variant computes the same exact sum.
-        #[test]
-        fn all_i32_kernels_agree(
-            data in proptest::collection::vec(-10_000i32..10_000, 0..20_000),
-            threads in 1usize..12,
-            v_idx in 0usize..6,
-            chunk in 1usize..2000,
-        ) {
-            let v = [1usize, 2, 4, 8, 16, 32][v_idx];
-            let expect = sum_sequential(&data);
-            prop_assert_eq!(sum_unrolled(&data, v), expect);
-            prop_assert_eq!(sum_pairwise(&data), expect);
-            prop_assert_eq!(parallel_sum(&data, threads), expect);
-            prop_assert_eq!(
-                parallel_sum_unrolled(&data, threads, v, ChunkPolicy::StaticChunked(chunk)),
-                expect
-            );
-        }
-
-        /// Min/max agree with the iterator versions, widened.
-        #[test]
-        fn min_max_agree_with_iterators(
-            data in proptest::collection::vec(-100i8..100, 1..10_000),
-            threads in 1usize..10,
-        ) {
-            prop_assert_eq!(
-                parallel_min(&data, threads),
-                *data.iter().min().unwrap() as i64
-            );
-            prop_assert_eq!(
-                parallel_max(&data, threads),
-                *data.iter().max().unwrap() as i64
-            );
-        }
-
-        /// Float kernels agree within recursive-summation bounds, and Kahan is
-        /// at least as close to the exact (f64-accumulated) sum as the naive
-        /// f32 loop.
-        #[test]
-        fn float_kernels_are_bounded(
-            data in proptest::collection::vec(-1.0f32..1.0, 1..10_000),
-            threads in 1usize..8,
-        ) {
-            let exact: f64 = data.iter().map(|&x| x as f64).sum();
-            let naive = sum_sequential(&data) as f64;
-            let par = parallel_sum(&data, threads) as f64;
-            let bound = f32::EPSILON as f64 * data.len() as f64 * data.len() as f64;
-            prop_assert!((par - exact).abs() <= bound.max(1e-6));
-            prop_assert!((naive - exact).abs() <= bound.max(1e-6));
-            // Kahan in f64 over widened data reproduces the exact sum closely.
-            let wide: Vec<f64> = data.iter().map(|&x| x as f64).collect();
-            prop_assert!((sum_kahan(&wide) - exact).abs() <= 1e-9 * exact.abs().max(1.0));
-        }
-
-        /// The thread pool runs every submitted job exactly once, for any
-        /// pool size and job count.
-        #[test]
-        fn pool_runs_each_job_once(threads in 1usize..8, jobs in 0usize..200) {
-            let pool = ThreadPool::new(threads);
-            let counter = Arc::new(AtomicU64::new(0));
-            for _ in 0..jobs {
-                let c = Arc::clone(&counter);
-                pool.submit(move || { c.fetch_add(1, Ordering::Relaxed); });
-            }
-            pool.wait();
-            prop_assert_eq!(counter.load(Ordering::Relaxed), jobs as u64);
-        }
-    }
-}
-
-/// Std-only fallback: the same invariants over SplitMix64-seeded random
-/// cases (no shrinking, but exercised offline on every `cargo test`).
-#[cfg(not(feature = "proptest"))]
+/// The properties, each over SplitMix64-seeded random cases.
 mod std_fallback {
     use ghr_parallel::{
         parallel_max, parallel_min, parallel_sum, parallel_sum_unrolled, sum_kahan, sum_pairwise,

@@ -5,8 +5,7 @@
 //! *exactly* — integer equality for i32/i8, bit-for-bit float equality
 //! (not epsilon closeness) for f32/f64.
 //!
-//! Deterministic and std-only: the gated proptest suite shrinks better,
-//! but this one always runs, offline, on every `cargo test`.
+//! Deterministic and std-only: it runs offline on every `cargo test`.
 
 use ghr_parallel::{parallel_sum_unrolled_on, sum_unrolled_with_backend, Backend, ChunkPolicy};
 use ghr_types::Element;

@@ -6,7 +6,6 @@
 /// and one offload target (the Hopper GPU); the enum still carries a device
 /// ordinal so multi-GPU extensions do not need an API break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Device {
     /// The host CPU (initial device in OpenMP terms).
     Host,

@@ -19,7 +19,6 @@
 /// The timing models only care about the byte width; the functional
 /// executors use the [`Element`] trait instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DType {
     /// 8-bit signed integer (paper case C2 input).
     I8,

@@ -23,7 +23,6 @@ use crate::dtype::DType;
 /// This is the field that drives the team-pipeline leg of the GPU timing
 /// model: each pattern implies a different per-team epilogue cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CombinePattern {
     /// Every element folds into one scalar (the paper's sum reduction):
     /// one device-wide combine per team.
@@ -56,7 +55,6 @@ impl CombinePattern {
 
 /// How many outputs a kernel writes per input element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OutputCardinality {
     /// One scalar result for the whole kernel (reductions). The write-back
     /// is negligible and contributes no bytes to the memory leg.
@@ -77,7 +75,6 @@ pub enum OutputCardinality {
 /// used for the reduction (memory / compute / team pipeline); the CPU model
 /// and the functional executors consume the same fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelDescriptor {
     /// Input element type `T`.
     pub elem: DType,
@@ -190,7 +187,6 @@ impl KernelDescriptor {
 /// planner's work items carry (the full [`KernelDescriptor`] is derived from
 /// it plus the case dtypes, keeping cache keys small and stable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadKind {
     /// Dot product of two `m`-element streams.
     Dot,

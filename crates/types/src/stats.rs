@@ -200,7 +200,6 @@ impl RouterStats {
 /// stream of `f64` samples, using Welford's algorithm so that long series
 /// (e.g. per-repetition kernel times) stay numerically stable.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -10,7 +10,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A byte count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bytes(pub u64);
 
 impl Bytes {
@@ -102,7 +101,6 @@ impl std::fmt::Display for Bytes {
 
 /// A data rate in bytes per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bandwidth(pub f64);
 
 impl Bandwidth {
@@ -178,7 +176,6 @@ impl std::fmt::Display for Bandwidth {
 /// advance it analytically, so a 200-repetition run over 4 GB completes in
 /// microseconds of host time.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(pub f64);
 
 impl SimTime {
@@ -310,7 +307,6 @@ impl std::fmt::Display for SimTime {
 
 /// A clock frequency in hertz.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frequency(pub f64);
 
 impl Frequency {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Repo verification: formatting, lints, build, and the full test suite.
-# Everything here runs offline — the default workspace has zero external
-# dependencies (see README "Offline build") — so this script is exactly
+# Repo verification: formatting, lints, rustdoc, build, and the full test
+# suite. Everything here runs offline — the workspace has zero external
+# dependencies (see README "Install / build") — so this script is exactly
 # what CI runs and exactly what a contributor can run on a plane.
 set -eu
 
@@ -12,6 +12,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+# Rustdoc warnings fail the build, so a deleted or private item cannot
+# leave a dangling doc link behind.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo build --release"
 cargo build --release

@@ -1,179 +1,10 @@
 //! Property-based invariants across the workspace: execution semantics,
 //! page-placement conservation, and timing-model sanity.
 //!
-//! Two modes, same invariants:
-//!
-//! * with `--features proptest` (registry access required to restore the
-//!   crate to [dev-dependencies]): shrinking proptest strategies;
-//! * by default: a std-only SplitMix64 fallback that drives the same
-//!   properties over seeded random cases, so the invariants run offline
-//!   on every `cargo test`.
+//! Each property runs over SplitMix64-seeded random cases: std-only and
+//! deterministic, so every `cargo test` exercises it offline.
 
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use grace_hopper_reduction::gpusim::{execute_reduction, GpuModel, LaunchConfig};
-    use grace_hopper_reduction::machine::{GpuSpec, MachineConfig};
-    use grace_hopper_reduction::mem::{Residency, UnifiedMemory};
-    use grace_hopper_reduction::parallel::{parallel_sum_unrolled, sum_sequential, ChunkPolicy};
-    use grace_hopper_reduction::types::{Bytes, DType, Device};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The device executor computes exactly the sequential sum for
-        /// integers, for any geometry.
-        #[test]
-        fn device_execution_matches_sequential_i32(
-            data in proptest::collection::vec(-1000i32..1000, 1..5000),
-            cfg in (1u64..100_000, 0usize..5, 0usize..6),
-        ) {
-            let threads = [32u32, 64, 128, 256, 512][cfg.1];
-            let v = [1u32, 2, 4, 8, 16, 32][cfg.2];
-            let launch = LaunchConfig {
-                num_teams: cfg.0,
-                threads_per_team: threads,
-                v,
-                m: data.len() as u64,
-                elem: DType::I32,
-                acc: DType::I32,
-            };
-            let got = execute_reduction(&data, &launch).unwrap();
-            prop_assert_eq!(got, sum_sequential(&data));
-        }
-
-        /// The parallel CPU kernels match the sequential sum for i8 -> i64
-        /// under any thread count, unroll factor and chunk policy.
-        #[test]
-        fn parallel_cpu_reduction_matches_sequential_i8(
-            data in proptest::collection::vec(-100i8..100, 0..10_000),
-            threads in 1usize..16,
-            v_idx in 0usize..6,
-            chunk in prop_oneof![
-                Just(ChunkPolicy::Static),
-                (1usize..500).prop_map(ChunkPolicy::StaticChunked)
-            ],
-        ) {
-            let v = [1usize, 2, 4, 8, 16, 32][v_idx];
-            let got = parallel_sum_unrolled(&data, threads, v, chunk);
-            prop_assert_eq!(got, sum_sequential(&data));
-        }
-
-        /// Float device execution stays within the recursive-summation bound.
-        #[test]
-        fn device_execution_float_bounded(
-            data in proptest::collection::vec(-1.0f64..1.0, 1..5000),
-            num_teams in 1u64..10_000,
-        ) {
-            let launch = LaunchConfig {
-                num_teams,
-                threads_per_team: 128,
-                v: 4,
-                m: data.len() as u64,
-                elem: DType::F64,
-                acc: DType::F64,
-            };
-            let got = execute_reduction(&data, &launch).unwrap();
-            let expect = sum_sequential(&data);
-            let bound = f64::EPSILON * data.len() as f64 * data.len() as f64;
-            prop_assert!((got - expect).abs() <= bound.max(1e-12),
-                "got {got}, expect {expect}");
-        }
-
-        /// Page conservation: after any access sequence, every page is in
-        /// exactly one residency state and the counts add up.
-        #[test]
-        fn page_states_are_conserved(
-            len in 1u64..100_000,
-            ops in proptest::collection::vec(
-                (prop_oneof![Just(Device::Host), Just(Device::GPU0)], 0.0f64..1.0, 0.0f64..1.0),
-                0..50
-            ),
-        ) {
-            let mut machine = MachineConfig::gh200();
-            machine.page_size = Bytes(4096);
-            let mut um = UnifiedMemory::new(&machine);
-            let rid = um.alloc(Bytes(len));
-            let total_pages = len.div_ceil(4096);
-            for (dev, a, b) in ops {
-                let off = (a * len as f64) as u64;
-                let n = ((b * (len - off) as f64) as u64).min(len - off);
-                um.access(dev, rid, Bytes(off), Bytes(n));
-                let (u, c, g) = um.residency_histogram(rid);
-                prop_assert_eq!(u + c + g, total_pages);
-            }
-        }
-
-        /// Accesses classify every requested byte exactly once.
-        #[test]
-        fn access_outcomes_account_for_all_bytes(
-            len in 1u64..50_000,
-            off_frac in 0.0f64..1.0,
-            n_frac in 0.0f64..1.0,
-        ) {
-            let mut machine = MachineConfig::gh200();
-            machine.page_size = Bytes(1024);
-            let mut um = UnifiedMemory::new(&machine);
-            let rid = um.alloc(Bytes(len));
-            let off = (off_frac * len as f64) as u64;
-            let n = ((n_frac * (len - off) as f64) as u64).min(len - off);
-            let out = um.gpu_access(rid, Bytes(off), Bytes(n));
-            prop_assert_eq!(out.total(), Bytes(n));
-            let out = um.cpu_access(rid, Bytes(off), Bytes(n));
-            prop_assert_eq!(out.total(), Bytes(n));
-        }
-
-        /// Model sanity: effective bandwidth never exceeds the peak, and time
-        /// is monotone in the element count.
-        #[test]
-        fn gpu_model_sanity(
-            num_teams in 1u64..100_000,
-            t_idx in 0usize..5,
-            v_idx in 0usize..6,
-        ) {
-            let cfg = LaunchConfig {
-                num_teams,
-                threads_per_team: [32u32, 64, 128, 256, 512][t_idx],
-                v: [1u32, 2, 4, 8, 16, 32][v_idx],
-                m: 1_000_000,
-                elem: DType::F32,
-                acc: DType::F32,
-            };
-            let model = GpuModel::new(GpuSpec::h100_sxm_gh200());
-            let b = model.reduce(&cfg).unwrap();
-            prop_assert!(b.total.is_valid_span());
-            prop_assert!(b.effective_bw.as_gbps() <= model.spec().hbm_peak_bw.as_gbps() + 1e-9);
-            let mut bigger = cfg;
-            bigger.m *= 2;
-            let b2 = model.reduce(&bigger).unwrap();
-            prop_assert!(b2.total >= b.total);
-        }
-
-        /// GPU pages, once migrated to HBM, stay there under further GPU
-        /// access (no thrash).
-        #[test]
-        fn migrated_pages_are_sticky(passes in 1usize..10) {
-            let mut machine = MachineConfig::gh200();
-            machine.page_size = Bytes(512);
-            let mut um = UnifiedMemory::new(&machine);
-            let rid = um.alloc(Bytes(8192));
-            um.cpu_access(rid, Bytes(0), Bytes(8192));
-            for _ in 0..passes {
-                um.gpu_access(rid, Bytes(0), Bytes(8192));
-            }
-            let (_, _, gpu) = um.residency_histogram(rid);
-            prop_assert_eq!(gpu, 16);
-            // Pages remain GPU-resident; CPU reads do not steal them back.
-            um.cpu_access(rid, Bytes(0), Bytes(8192));
-            prop_assert_eq!(um.residency_at(rid, Bytes(0)), Residency::Gpu);
-        }
-    }
-}
-
-/// Std-only fallback: the same invariants over SplitMix64-seeded random
-/// cases. No shrinking, but the properties themselves get exercised on
-/// every offline `cargo test`.
-#[cfg(not(feature = "proptest"))]
+/// The properties, each over SplitMix64-seeded random cases.
 mod std_fallback {
     use grace_hopper_reduction::gpusim::{execute_reduction, GpuModel, LaunchConfig};
     use grace_hopper_reduction::machine::{GpuSpec, MachineConfig};

@@ -23,7 +23,6 @@ struct PhaseNums {
     throughput_rps: Option<f64>,
     p50_ms: Option<f64>,
     p99_ms: Option<f64>,
-    warm_locks: Option<f64>,
     evaluated: Option<f64>,
 }
 
@@ -55,7 +54,6 @@ fn load(path: &str) -> Result<BenchFile, String> {
                     throughput_rps: num(&["throughput_rps"]),
                     p50_ms: num(&["latency_ms", "p50"]),
                     p99_ms: num(&["latency_ms", "p99"]),
-                    warm_locks: num(&["hot_path", "warm_lock_acquisitions"]),
                     evaluated: num(&["hot_path", "evaluated"]),
                 },
             )
@@ -123,11 +121,10 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
     out.push('\n');
 
     type Pick = fn(&PhaseNums) -> Option<f64>;
-    let metrics: [(&str, Pick); 5] = [
+    let metrics: [(&str, Pick); 4] = [
         ("rps", |p| p.throughput_rps),
         ("p50 ms", |p| p.p50_ms),
         ("p99 ms", |p| p.p99_ms),
-        ("warm locks", |p| p.warm_locks),
         ("evaluated", |p| p.evaluated),
     ];
     let mut t = Table::new(["phase", "metric", "baseline", "candidate", "delta"]);
@@ -171,12 +168,12 @@ mod tests {
     fn labelled_reports_name_themselves_in_the_header() {
         let dir = std::env::temp_dir().join(format!("ghr-benchdiff-label-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let labelled = report(1000.0, 0, false).replacen(
+        let labelled = report(1000.0, false).replacen(
             "\"bench\": \"loadgen\",",
             "\"bench\": \"loadgen\",\n  \"label\": \"router-2w\",",
             1,
         );
-        let base = write_report(&dir, "a.json", &report(1000.0, 0, false));
+        let base = write_report(&dir, "a.json", &report(1000.0, false));
         let cand = write_report(&dir, "b.json", &labelled);
         let out = cmd_bench_diff(&[base, cand]).unwrap();
         assert!(out.contains("b.json [router-2w]"), "{out}");
@@ -184,17 +181,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn report(rps: f64, locks: u64, extra_phase: bool) -> String {
+    fn report(rps: f64, extra_phase: bool) -> String {
         let mut phases = format!(
             "{{\"name\": \"warm\", \"throughput_rps\": {rps}, \
              \"latency_ms\": {{\"p50\": 0.001, \"p99\": 0.002}}, \
-             \"hot_path\": {{\"warm_lock_acquisitions\": {locks}, \"evaluated\": 0}}}}"
+             \"hot_path\": {{\"evaluated\": 0}}}}"
         );
         if extra_phase {
             phases.push_str(
                 ",\n    {\"name\": \"warm_recombine\", \"throughput_rps\": 1000, \
                  \"latency_ms\": {\"p50\": 0.01, \"p99\": 0.02}, \
-                 \"hot_path\": {\"warm_lock_acquisitions\": 0, \"evaluated\": 0}}",
+                 \"hot_path\": {\"evaluated\": 0}}",
             );
         }
         format!("{{\n  \"bench\": \"loadgen\",\n  \"phases\": [\n    {phases}\n  ]\n}}\n")
@@ -204,12 +201,11 @@ mod tests {
     fn diff_aligns_phases_and_reports_deltas() {
         let dir = std::env::temp_dir().join(format!("ghr-benchdiff-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let base = write_report(&dir, "base.json", &report(1000.0, 500, false));
-        let cand = write_report(&dir, "cand.json", &report(2000.0, 0, true));
+        let base = write_report(&dir, "base.json", &report(1000.0, false));
+        let cand = write_report(&dir, "cand.json", &report(2000.0, true));
         let out = cmd_bench_diff(&[base, cand]).unwrap();
         assert!(out.contains("| phase"), "{out}");
         assert!(out.contains("+100.0%"), "rps doubled: {out}");
-        assert!(out.contains("warm locks"), "{out}");
         // The candidate-only phase still renders, with `-` baselines.
         assert!(out.contains("warm_recombine"), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -221,16 +217,28 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // An older report: current phases plus the trailing locked-cache
         // speedup scalar that current reports no longer carry.
-        let old = report(1000.0, 0, false).replacen(
+        let old = report(1000.0, false).replacen(
             "  ]\n}",
             "  ],\n  \"warm_speedup_vs_locked\": 1.25\n}",
             1,
         );
+        // A report from the per-thread replica caches: its hot path also
+        // carries the retired lock and replica counters.
+        let replicas = report(1050.0, false).replacen(
+            "\"evaluated\": 0}",
+            "\"evaluated\": 0, \"warm_lock_acquisitions\": 0, \"replica_syncs\": 0, \
+             \"replica_snapshot_hits\": 200, \"warm_locks\": {\"response\": 0, \
+             \"point\": 0, \"series\": 0, \"corun\": 0}}",
+            1,
+        );
         let base = write_report(&dir, "old.json", &old);
-        let cand = write_report(&dir, "new.json", &report(1100.0, 0, false));
-        let out = cmd_bench_diff(&[base, cand]).unwrap();
+        let mid = write_report(&dir, "replicas.json", &replicas);
+        let cand = write_report(&dir, "new.json", &report(1100.0, false));
+        let out = cmd_bench_diff(&[base, mid, cand]).unwrap();
+        assert!(out.contains("+5.0%"), "replica-era rps still aligns: {out}");
         assert!(out.contains("+10.0%"), "warm rps still aligns: {out}");
         assert!(!out.contains("speedup"), "no speedup line: {out}");
+        assert!(!out.contains("warm locks"), "no retired lock row: {out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -277,30 +277,6 @@ pub fn run(cmd: &str, rest: &[String]) -> Result<String, String> {
             );
             let _ = writeln!(
                 out,
-                "hot path: {} warm lock acquisitions; replica logs {} published, \
-                 {} syncs, {} snapshot hits, {} log bytes",
-                s.warm_lock_acquisitions,
-                s.replica_published,
-                s.replica_syncs,
-                s.replica_snapshot_hits,
-                s.replica_log_bytes
-            );
-            // One ledger line per cache layer, so a lock-freedom
-            // regression names the layer that took the lock.
-            for layer in ghr_types::CacheLayer::ALL {
-                let row = s.layer(layer);
-                let _ = writeln!(
-                    out,
-                    "  {:>8}: {} warm locks, {} published, {} syncs, {} snapshot hits",
-                    layer.name(),
-                    row.warm_lock_acquisitions,
-                    row.replica_published,
-                    row.replica_syncs,
-                    row.replica_snapshot_hits
-                );
-            }
-            let _ = writeln!(
-                out,
                 "in-flight: {} claims, {} joins",
                 s.inflight_claims, s.inflight_joins
             );
@@ -357,11 +333,9 @@ fn cmd_cache(dir: Option<&std::path::Path>, rest: &[String]) -> Result<String, S
             );
             let _ = writeln!(
                 out,
-                "hot path (per process, not persisted): response hits, coalesced \
-                 evaluations,\n  warm lock acquisitions and replica log traffic \
-                 (published/syncs/snapshot hits)\n  are engine counters, kept \
-                 per cache layer — response, point, series and corun —\n  see \
-                 --stats / --stats-json on any command or serve run"
+                "hot path (per process, not persisted): response hits and coalesced \
+                 evaluations\n  (--stats) and in-memory cache bytes (--stats-json) are \
+                 engine counters\n  on any command or serve run"
             );
             Ok(out)
         }

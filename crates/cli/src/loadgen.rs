@@ -5,10 +5,9 @@
 //! * **in-process** (default) — [`ghr_core::loadgen::run_in_process`]
 //!   drives the engine directly: a cold pass over a class-mixed catalog
 //!   (gpu-point / corun-series / corun-point / what-if), a zipf warm
-//!   pass over the lock-free replica path, and a `warm_recombine` pass
-//!   of new request ids assembled purely from warm item caches,
-//!   reporting engine hot-path counter deltas (including per-layer
-//!   `warm_locks`) and per-class latency rows;
+//!   pass over the response cache, and a `warm_recombine` pass of new
+//!   request ids assembled purely from warm item caches, reporting
+//!   engine hot-path counter deltas and per-class latency rows;
 //! * **`--socket PATH`** (or **`--tcp HOST:PORT`**) — a live `ghr
 //!   serve`/`ghr router` endpoint is driven over persistent connections
 //!   (unix-stream or TCP; same frames either way) with the servable
@@ -36,7 +35,6 @@ use ghr_core::loadgen::{
     PhaseSpec, SplitMix64, Zipf,
 };
 use ghr_core::report::Table;
-use ghr_types::CacheLayer;
 use std::fmt::Write as _;
 
 /// Parsed `ghr loadgen` flags: the core knobs plus the CLI-only target
@@ -229,25 +227,10 @@ fn render_report(report: &LoadReport) -> String {
     }
     for phase in &report.phases {
         if let Some(hp) = &phase.hot_path {
-            let by_layer = CacheLayer::ALL
-                .into_iter()
-                .zip(hp.warm_locks)
-                .map(|(layer, locks)| format!("{} {}", layer.name(), locks))
-                .collect::<Vec<_>>()
-                .join(", ");
             let _ = writeln!(
                 out,
-                "\n{}: {} response hits, {} coalesced, {} evaluated, \
-                 {} warm lock acquisitions, {} replica syncs, {} snapshot hits\n  \
-                 warm locks by layer: {}",
-                phase.metrics.name,
-                hp.response_hits,
-                hp.coalesced,
-                hp.evaluated,
-                hp.warm_lock_acquisitions,
-                hp.replica_syncs,
-                hp.replica_snapshot_hits,
-                by_layer
+                "\n{}: {} response hits, {} coalesced, {} evaluated",
+                phase.metrics.name, hp.response_hits, hp.coalesced, hp.evaluated
             );
         }
     }
@@ -635,19 +618,14 @@ mod tests {
         for class in ghr_core::loadgen::CLASS_NAMES {
             assert!(out.contains(class), "{out}");
         }
-        assert!(out.contains("warm lock acquisitions"), "{out}");
-        assert!(out.contains("warm locks by layer: response"), "{out}");
+        assert!(
+            out.contains("warm_recombine: 0 response hits, 0 coalesced, 0 evaluated"),
+            "{out}"
+        );
         let json = std::fs::read_to_string(&file).unwrap();
         assert!(json.contains("\"bench\": \"loadgen\""), "{json}");
-        assert!(json.contains("\"warm_lock_acquisitions\": 0"), "{json}");
+        assert!(json.contains("\"evaluated\": 0"), "{json}");
         assert!(json.contains("\"classes\": ["), "{json}");
-        assert!(
-            json.contains(
-                "\"warm_locks\": {\"response\": 0, \"point\": 0, \"series\": 0, \
-                 \"corun\": 0}"
-            ),
-            "{json}"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

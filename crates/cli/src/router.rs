@@ -10,8 +10,8 @@
 //! HOST:PORT` for workers on other machines) — and forwards each
 //! request line to the worker that owns its position on a 64-vnode
 //! consistent-hash ring. The ring is *stable*: a given request id
-//! always lands on the same worker, whose response cache and replica
-//! snapshots are warm for exactly that id, so adding workers multiplies
+//! always lands on the same worker, whose response and item caches
+//! are warm for exactly that id, so adding workers multiplies
 //! aggregate warm throughput instead of spreading every id's cache
 //! entries across all of them. The router reads each worker frame with
 //! [`ghr_types::wire::Frame::read`] (header, exactly the `bytes=` body

@@ -450,8 +450,8 @@ pub fn stats_json(stats: &EngineStats, stages: &[StageTiming], wall_ms: f64) -> 
          \"coalesced\":{},\"response_hit_rate\":{},\"lookups\":{},\"hits\":{},\
          \"evaluated\":{},\"hit_rate\":{},\"persistent\":{{\"loaded\":{},\
          \"hits\":{},\"misses\":{},\"stored\":{}}},\"sweep\":{{\"evaluated\":{},\
-         \"skipped\":{}}},\"warm_lock_acquisitions\":{},\"replica\":{{\
-         \"published\":{},\"syncs\":{},\"snapshot_hits\":{},\"log_bytes\":{}}},",
+         \"skipped\":{}}},\"cache_bytes\":{},\"inflight\":{{\"claims\":{},\
+         \"joins\":{}}},\"wall_ms\":{},\"stages\":[",
         stats.threads,
         stats.requests,
         stats.response_hits,
@@ -467,36 +467,7 @@ pub fn stats_json(stats: &EngineStats, stages: &[StageTiming], wall_ms: f64) -> 
         stats.persistent_stored,
         stats.sweep_evaluated,
         stats.sweep_skipped,
-        stats.warm_lock_acquisitions,
-        stats.replica_published,
-        stats.replica_syncs,
-        stats.replica_snapshot_hits,
         stats.replica_log_bytes,
-    );
-    // Per-layer ledger: the aggregate counters above broken down by
-    // cache layer, so a lock-freedom regression names its layer.
-    s.push_str("\"layers\":{");
-    for (i, layer) in ghr_types::CacheLayer::ALL.into_iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let row = stats.layer(layer);
-        let _ = write!(
-            s,
-            "\"{}\":{{\"warm_lock_acquisitions\":{},\"published\":{},\
-             \"syncs\":{},\"snapshot_hits\":{},\"log_bytes\":{}}}",
-            layer.name(),
-            row.warm_lock_acquisitions,
-            row.replica_published,
-            row.replica_syncs,
-            row.replica_snapshot_hits,
-            row.replica_log_bytes,
-        );
-    }
-    let _ = write!(
-        s,
-        "}},\"inflight\":{{\"claims\":{},\"joins\":{}}},\
-         \"wall_ms\":{},\"stages\":[",
         stats.inflight_claims,
         stats.inflight_joins,
         json_f64(wall_ms),
@@ -996,31 +967,20 @@ mod tests {
         assert!(json.contains("\"coalesced\":0"), "{json}");
         assert!(json.contains("\"evaluated\":8"), "{json}");
         assert!(json.contains("\"name\":\"assemble\""), "{json}");
-        assert!(json.contains("\"warm_lock_acquisitions\":"), "{json}");
-        // Table 1 publishes one response and eight GPU points; the
-        // aggregate replica object counts records across every layer,
-        // and the per-layer ledger breaks them out.
-        assert!(
-            json.contains("\"replica\":{\"published\":9,"),
-            "one response + eight point records: {json}"
-        );
-        assert!(
-            json.contains("\"response\":{\"warm_lock_acquisitions\":0,\"published\":1,"),
-            "the response layer's own row pins its single publication: {json}"
-        );
         assert!(
             json.contains("\"inflight\":{\"claims\":1,\"joins\":0}"),
             "one cold request leads one request-id flight: {json}"
         );
         let doc = ghr_types::Json::parse(&json).expect("stats JSON parses back");
-        let layers: Vec<&str> = match doc.get("layers") {
-            Some(ghr_types::Json::Obj(rows)) => rows.iter().map(|(k, _)| k.as_str()).collect(),
-            other => panic!("layers must be an object: {other:?}"),
-        };
-        assert_eq!(layers, ["response", "point", "series", "corun"], "{json}");
-        assert!(json.contains("\"log_bytes\":"), "{json}");
-        assert!(json.contains("\"syncs\":"), "{json}");
-        assert!(json.contains("\"snapshot_hits\":"), "{json}");
+        // Table 1 published one response and eight GPU points, so the
+        // footprint is nonzero and renders as the engine reports it.
+        let cache_bytes = doc.get("cache_bytes").and_then(ghr_types::Json::as_f64);
+        assert_eq!(
+            cache_bytes,
+            Some(e.stats().replica_log_bytes as f64),
+            "{json}"
+        );
+        assert!(cache_bytes.is_some_and(|b| b > 0.0), "{json}");
         assert!(!json.contains("NaN"), "{json}");
         // A fresh engine has zero lookups and zero requests; the ratios
         // must render as numbers (0), not NaN/null noise.

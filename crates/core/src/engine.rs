@@ -24,11 +24,11 @@
 //! request (the `ghr serve` steady state) is answered with zero
 //! re-planning. Underneath sit:
 //!
-//! * a **read-mostly result cache** keyed by [`WorkItem`] — the
-//!   resolved [`TargetRegion`] geometry × element count/types × supply
-//!   constraint — one [`ReadMostly`] log per layer, with one exact-key
-//!   single flight in front of evaluation, so identical points are
-//!   evaluated once per process no matter which request asks;
+//! * a **result cache** keyed by [`WorkItem`] — the resolved
+//!   [`TargetRegion`] geometry × element count/types × supply
+//!   constraint — one locked map per layer, with one exact-key single
+//!   flight in front of evaluation, so identical points are evaluated
+//!   once per process no matter which request asks;
 //! * a **parallel fan driver** that spreads a stage's items across the
 //!   [`ghr_parallel::ThreadPool`] and reassembles results in deterministic
 //!   index order — tables are bit-identical to the serial path at any
@@ -55,10 +55,10 @@
 //! re-evaluating.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 
 use crate::autotune::TunedConfig;
 use crate::case::Case;
@@ -67,7 +67,6 @@ use crate::exec::Executor;
 use crate::kernels::{self, WorkloadPoint, WorkloadResult, WORKLOAD_TEAMS_AXIS};
 use crate::plan::{refine_axes, Plan, Planner, WorkItem};
 use crate::reduction::ReductionSpec;
-use crate::replica::{BuildId, ReadMostly};
 use crate::request::{autotune_sweep, Request, Response};
 use crate::store::{self, PersistentStore};
 use crate::study::{self, CorunStudy};
@@ -78,13 +77,10 @@ use ghr_gpusim::GpuModel;
 use ghr_machine::MachineConfig;
 use ghr_omp::{OmpRuntime, TargetRegion};
 use ghr_parallel::ThreadPool;
-use ghr_types::{
-    Bandwidth, CacheLayer, CacheLayerStats, DType, GhrError, KernelDescriptor, Result, StageTiming,
-    WorkloadKind,
-};
+use ghr_types::{Bandwidth, DType, GhrError, KernelDescriptor, Result, StageTiming, WorkloadKind};
 
 /// FNV-1a, used for the machine fingerprint and for the structured-key
-/// replica maps. Deterministic across processes and platforms (unlike
+/// cache maps. Deterministic across processes and platforms (unlike
 /// the std `RandomState`).
 #[derive(Debug, Clone)]
 pub struct Fnv1aHasher(u64);
@@ -107,6 +103,34 @@ impl Hasher for Fnv1aHasher {
         }
     }
 }
+
+/// Identity hasher for request-id keys. The response map's keys are
+/// already uniform 64-bit hashes, so hashing them again buys no
+/// distribution and costs every warm probe an extra FNV walk.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Hasher state for the id-keyed response map.
+type BuildId = BuildHasherDefault<IdHasher>;
+
+/// Hasher state for structured keys (work items, co-run configs).
+type BuildFnv = BuildHasherDefault<Fnv1aHasher>;
 
 /// Fingerprint of a machine description (FNV-1a over its debug render):
 /// results cached under one machine are never served for another. Selects
@@ -238,50 +262,6 @@ pub struct Responded {
     pub evals: u64,
 }
 
-/// Stripes in a [`Striped`] counter — enough that a typical worker count
-/// maps threads to distinct slots.
-const COUNTER_STRIPES: usize = 16;
-
-/// One counter stripe, padded to its own cache line so adjacent stripes
-/// never false-share.
-#[repr(align(64))]
-struct StripeSlot(AtomicU64);
-
-/// A thread-striped event counter: each thread adds to its own padded
-/// slot, so the warm hot path never bounces one shared cache line across
-/// cores the way a single `AtomicU64` does under 8-way read traffic.
-/// Reads sum every slot — exact once writers are quiesced (or ordered by
-/// a barrier), momentarily behind while they race.
-struct Striped {
-    slots: [StripeSlot; COUNTER_STRIPES],
-}
-
-impl Striped {
-    fn new() -> Self {
-        Striped {
-            slots: std::array::from_fn(|_| StripeSlot(AtomicU64::new(0))),
-        }
-    }
-
-    fn add(&self, n: u64) {
-        self.slots[stripe_index()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.slots.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// Round-robin slot assignment, fixed per thread on first use.
-fn stripe_index() -> usize {
-    static NEXT_STRIPE: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static STRIPE: usize =
-            (NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES as u64) as usize;
-    }
-    STRIPE.with(|s| *s)
-}
-
 /// Stage timings an engine keeps: a server runs cold plans for its whole
 /// life, so only the most recent ones are held.
 const STAGE_LOG_CAP: usize = 4096;
@@ -304,96 +284,56 @@ impl StageLog {
     }
 }
 
-/// Warm-path event counters for one replicated cache layer. Lock
-/// acquisitions and snapshot hits ride the thread-striped counters (they
-/// sit on the warm hot path); syncs are rare by construction.
-struct LayerCounters {
-    warm_locks: Striped,
-    syncs: AtomicU64,
-    snapshot_hits: Striped,
+/// One engine cache layer: a map under one reader-writer lock, shared by
+/// every thread. A probe clones the value under the read lock, so `V` is
+/// an `Arc` or a small `Copy` scalar.
+///
+/// Publication is first-write-wins: a key keeps the first value published
+/// for it. Engine values are deterministic, so a racing duplicate (an A2
+/// series two requests assemble at once) carries an identical value, and
+/// the map holds one entry per distinct key however the race lands.
+///
+/// A poisoned lock is recovered, as [`SingleFlight`] recovers its key
+/// set: the map only changes by single `entry().or_insert` calls, so it
+/// is valid at every step.
+struct CacheMap<K, V, S = BuildFnv> {
+    map: RwLock<HashMap<K, V, S>>,
 }
 
-impl LayerCounters {
+impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> CacheMap<K, V, S> {
     fn new() -> Self {
-        LayerCounters {
-            warm_locks: Striped::new(),
-            syncs: AtomicU64::new(0),
-            snapshot_hits: Striped::new(),
-        }
-    }
-}
-
-/// One engine cache layer on the NR-lite substrate: the append-only
-/// replica log plus its counters. Warm probes account their own lock
-/// cost, making lock-freedom provable per layer.
-struct ReplicatedCache<K, V, S = crate::replica::BuildFnv> {
-    log: ReadMostly<K, V, S>,
-    counters: LayerCounters,
-}
-
-impl<K, V, S> ReplicatedCache<K, V, S>
-where
-    K: Clone + Eq + Hash + Send + 'static,
-    V: Clone + Send + 'static,
-    S: std::hash::BuildHasher + Default + Clone + Send + 'static,
-{
-    fn new() -> Self {
-        ReplicatedCache {
-            log: ReadMostly::new(),
-            counters: LayerCounters::new(),
+        CacheMap {
+            map: RwLock::new(HashMap::default()),
         }
     }
 
-    /// Warm probe with lock accounting: a hit charges the log replay if
-    /// (and only if) the replica was behind, and a synced snapshot hit
-    /// charges nothing. Misses are the cold path and charge nothing —
-    /// the evaluation they lead into takes locks by design.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<K, V, S>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value published for `key`, if any.
     fn probe(&self, key: &K) -> Option<V> {
-        let read = self.log.get(key);
-        if read.synced {
-            self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        }
-        if read.value.is_some() {
-            if read.locks == 0 {
-                self.counters.snapshot_hits.add(1);
-            } else {
-                self.counters.warm_locks.add(read.locks);
-            }
-        }
-        read.value
+        self.read().get(key).cloned()
     }
 
-    /// Existence probe (the planner's dry run) — same accounting as
-    /// [`probe`](ReplicatedCache::probe), so plan-time reads show up in
-    /// the per-layer ledger too.
+    /// Whether `key` has been published (the planner's dry run).
     fn contains(&self, key: &K) -> bool {
-        self.probe(key).is_some()
+        self.read().contains_key(key)
     }
 
-    /// Publish a cold result. First write wins in the log, so racing A2
-    /// series assemblies (which lead no flight) append one record.
+    /// Publish a result unless `key` already has one.
     fn publish(&self, key: K, value: V) {
-        self.log.publish(key, value);
+        self.map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert(value);
     }
 
-    /// Bring the calling thread's replica of this layer up to date.
-    fn sync(&self) -> bool {
-        let synced = self.log.sync();
-        if synced {
-            self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        }
-        synced
-    }
-
-    /// This layer's row in the per-layer ledger.
-    fn stats(&self) -> CacheLayerStats {
-        CacheLayerStats {
-            warm_lock_acquisitions: self.counters.warm_locks.sum(),
-            replica_published: self.log.published(),
-            replica_syncs: self.counters.syncs.load(Ordering::Relaxed),
-            replica_snapshot_hits: self.counters.snapshot_hits.sum(),
-            replica_log_bytes: self.log.log_bytes(),
-        }
+    /// Shallow footprint: entries × `size_of::<(K, V)>()`. Heap owned
+    /// behind a value (an `Arc`'d response body) is not counted.
+    fn bytes(&self) -> u64 {
+        (self.read().len() * std::mem::size_of::<(K, V)>()) as u64
     }
 }
 
@@ -433,30 +373,12 @@ pub struct EngineStats {
     /// Grid points refined sweeps skipped (full grid minus evaluated) —
     /// reported so an adaptively truncated grid is never silent.
     pub sweep_skipped: u64,
-    /// Mutex acquisitions performed by warm probes that were answered
-    /// with a value, summed across every cache layer (the aggregate of
-    /// `layers`). A synced replica hit takes zero — the counter the
-    /// loadgen warm phases prove stays flat.
-    pub warm_lock_acquisitions: u64,
-    /// Distinct records appended to the replica logs, summed across
-    /// layers (publication is first-write-wins, so per layer this equals
-    /// the number of distinct published keys).
-    pub replica_published: u64,
-    /// Replica reads that had to replay a log tail under its lock
-    /// (a thread's first read, or its first read after a publication),
-    /// summed across layers.
-    pub replica_syncs: u64,
-    /// Warm reads answered wait-free from an already-synced replica
-    /// snapshot — zero mutex acquisitions — summed across layers.
-    pub replica_snapshot_hits: u64,
-    /// Shallow bytes held by the append-only replica logs, summed across
-    /// layers. Bounded by distinct published keys, not by request
-    /// traffic.
+    /// Shallow bytes held by the four cache maps (response, point,
+    /// series, co-run point): entries × `size_of::<(K, V)>()`, summed.
+    /// Publication is first-write-wins, so this is bounded by distinct
+    /// published keys, not by request traffic. The name predates the
+    /// maps; the benchmark harness reads it under this name.
     pub replica_log_bytes: u64,
-    /// The per-layer ledger behind the aggregates above, indexed by
-    /// [`CacheLayer`] — response, point, series, corun — so
-    /// lock-freedom is provable layer by layer.
-    pub layers: [CacheLayerStats; 4],
     /// Request ids whose single-flight leader found them still cold and
     /// evaluated (one per cold request-id evaluation attempt).
     pub inflight_claims: u64,
@@ -466,11 +388,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// One layer's row of the per-layer ledger.
-    pub fn layer(&self, layer: CacheLayer) -> CacheLayerStats {
-        self.layers[layer as usize]
-    }
-
     /// Fraction of lookups answered from either cache (in-process or
     /// persistent) — i.e. not freshly evaluated. 0.0 before any lookup,
     /// never a division by zero.
@@ -523,16 +440,16 @@ pub struct Engine {
     threads: usize,
     pool: Option<ThreadPool>,
     store: Option<PersistentStore>,
-    points: ReplicatedCache<WorkItem, f64>,
-    series: ReplicatedCache<CorunConfig, Arc<CorunSeries>>,
-    corun_pts: ReplicatedCache<(CorunConfig, u32), CorunPoint>,
-    responses: ReplicatedCache<u64, Arc<Response>, BuildId>,
+    points: CacheMap<WorkItem, f64>,
+    series: CacheMap<CorunConfig, Arc<CorunSeries>>,
+    corun_pts: CacheMap<(CorunConfig, u32), CorunPoint>,
+    responses: CacheMap<u64, Arc<Response>, BuildId>,
     request_flights: SingleFlight<u64>,
     item_flights: SingleFlight<WorkItem>,
     inflight_claims: AtomicU64,
     stage_log: Mutex<StageLog>,
-    requests: Striped,
-    response_hits: Striped,
+    requests: AtomicU64,
+    response_hits: AtomicU64,
     coalesced: AtomicU64,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -575,16 +492,16 @@ impl Engine {
             threads,
             pool,
             store: None,
-            points: ReplicatedCache::new(),
-            series: ReplicatedCache::new(),
-            corun_pts: ReplicatedCache::new(),
-            responses: ReplicatedCache::new(),
+            points: CacheMap::new(),
+            series: CacheMap::new(),
+            corun_pts: CacheMap::new(),
+            responses: CacheMap::new(),
             request_flights: SingleFlight::new(),
             item_flights: SingleFlight::new(),
             inflight_claims: AtomicU64::new(0),
             stage_log: Mutex::new(StageLog::default()),
-            requests: Striped::new(),
-            response_hits: Striped::new(),
+            requests: AtomicU64::new(0),
+            response_hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -636,24 +553,12 @@ impl Engine {
         self.threads
     }
 
-    /// Snapshot of the engine counters, including the per-layer ledger
-    /// (`layers`, indexed by [`CacheLayer`]) whose sums the aggregate
-    /// `warm_lock_acquisitions` / `replica_*` fields report.
+    /// Snapshot of the engine counters.
     pub fn stats(&self) -> EngineStats {
-        let layers = [
-            self.responses.stats(),
-            self.points.stats(),
-            self.series.stats(),
-            self.corun_pts.stats(),
-        ];
-        let mut total = CacheLayerStats::default();
-        for layer in &layers {
-            total.accumulate(layer);
-        }
         EngineStats {
             threads: self.threads,
-            requests: self.requests.sum(),
-            response_hits: self.response_hits.sum(),
+            requests: self.requests.load(Ordering::Relaxed),
+            response_hits: self.response_hits.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -664,12 +569,10 @@ impl Engine {
             persistent_stored: self.pstore_stored.load(Ordering::Relaxed),
             sweep_evaluated: self.sweep_evaluated.load(Ordering::Relaxed),
             sweep_skipped: self.sweep_skipped.load(Ordering::Relaxed),
-            warm_lock_acquisitions: total.warm_lock_acquisitions,
-            replica_published: total.replica_published,
-            replica_syncs: total.replica_syncs,
-            replica_snapshot_hits: total.replica_snapshot_hits,
-            replica_log_bytes: total.replica_log_bytes,
-            layers,
+            replica_log_bytes: self.responses.bytes()
+                + self.points.bytes()
+                + self.series.bytes()
+                + self.corun_pts.bytes(),
             inflight_claims: self.inflight_claims.load(Ordering::Relaxed),
             inflight_joins: self.request_flights.joins.load(Ordering::Relaxed),
         }
@@ -717,7 +620,7 @@ impl Engine {
     /// (single-flight: concurrent duplicates wait for the leader's result
     /// instead of planning their own evaluation). Safe to call from any
     /// number of threads over one shared engine — every cache and counter
-    /// behind it is mutex- or atomic-guarded.
+    /// behind it is lock- or atomic-guarded.
     pub fn respond(&self, request: &Request) -> Result<Responded> {
         self.respond_with_id(request, request.id().0)
     }
@@ -730,7 +633,7 @@ impl Engine {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             ResponseSource::Coalesced
         } else {
-            self.response_hits.add(1);
+            self.response_hits.fetch_add(1, Ordering::Relaxed);
             ResponseSource::ResponseCache
         };
         Responded {
@@ -746,14 +649,13 @@ impl Engine {
     /// id across thousands of calls, so the warm path's cost is the cache
     /// probe itself, not the canonical render feeding the hash.
     ///
-    /// Lock ledger: the warm path takes **zero** mutexes end to end — the
-    /// response probe is a replica snapshot read and a hit returns before
-    /// the single flight is touched. A cold id leads the request-id
-    /// flight; duplicates arriving meanwhile wait for it and re-probe the
-    /// response the leader published *before* releasing.
+    /// A warm hit takes one read lock, the response map's, and returns
+    /// before the single flight is touched. A cold id leads the
+    /// request-id flight; duplicates arriving meanwhile wait for it and
+    /// re-probe the response the leader published *before* releasing.
     pub fn respond_with_id(&self, request: &Request, id: u64) -> Result<Responded> {
         request.validate()?;
-        self.requests.add(1);
+        self.requests.fetch_add(1, Ordering::Relaxed);
         if let Some(response) = self.responses.probe(&id) {
             return Ok(self.warm_hit(response, false));
         }
@@ -792,47 +694,6 @@ impl Engine {
         Ok(response)
     }
 
-    /// Bring the calling thread's replicas of every replicated cache
-    /// layer up to the current log versions, paying each layer's replay
-    /// now instead of on the next warm read. Returns the number of
-    /// layers that actually replayed. The loadgen warmup calls this per
-    /// connection so timed warm sections start from synced replicas.
-    pub fn sync_replicas(&self) -> usize {
-        let synced = [
-            self.responses.sync(),
-            self.points.sync(),
-            self.series.sync(),
-            self.corun_pts.sync(),
-        ];
-        synced.into_iter().filter(|s| *s).count()
-    }
-
-    /// [`Engine::sync_replicas`] on *every* pool worker thread: one
-    /// barriered job per worker, so each job necessarily lands on a
-    /// distinct thread. The coordinator joins the barrier from inside
-    /// the scope closure — blocked there, it cannot "help" run a
-    /// broadcast job on its own thread (scope waiters steal queued
-    /// jobs), which would leave one worker unsynced. Returns the number
-    /// of (worker, layer) replays. Call only from a quiescent
-    /// coordinator — a pool already running jobs (or two concurrent
-    /// broadcasts) would deadlock the barrier.
-    pub fn sync_pool_replicas(&self) -> usize {
-        let Some(pool) = &self.pool else { return 0 };
-        let workers = pool.threads();
-        let barrier = std::sync::Barrier::new(workers + 1);
-        let replayed = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    barrier.wait();
-                    replayed.fetch_add(self.sync_replicas() as u64, Ordering::Relaxed);
-                });
-            }
-            barrier.wait();
-        });
-        replayed.load(Ordering::Relaxed) as usize
-    }
-
     /// Lower a request into its plan without executing anything (the
     /// `ghr plan` dry run).
     pub fn plan(&self, request: &Request) -> Result<Plan> {
@@ -850,9 +711,7 @@ impl Engine {
     // -----------------------------------------------------------------
 
     /// Whether `item` would be answered from a cache right now — the
-    /// planner's probe. A warm read like any other (a synced replica
-    /// answers with zero locks), so plan-time probes appear in the
-    /// per-layer lock ledger too.
+    /// planner's probe.
     pub(crate) fn probe_item(&self, item: &WorkItem) -> bool {
         let in_memory = match item {
             WorkItem::CorunSeries(cfg) => self.series.contains(cfg),
@@ -1159,9 +1018,8 @@ impl Engine {
                 })
             }
         };
-        // Racing A2 assemblies may both reach this publish; the log's
-        // first-write-wins dedup keeps it a single record (the bodies
-        // are deterministic and identical).
+        // Racing A2 assemblies may both reach this publish; the first
+        // write wins (the bodies are deterministic and identical).
         self.series.publish(*config, Arc::clone(&s));
         Ok(s)
     }
@@ -1866,6 +1724,17 @@ mod tests {
         // the response cache, depending on timing — never re-evaluate.
         assert_eq!(st.evaluated, 8, "{st:?}");
         assert_eq!(st.response_hits + st.coalesced, 3, "{st:?}");
+    }
+
+    #[test]
+    fn cache_map_publication_is_first_write_wins() {
+        let map: CacheMap<u64, u32, BuildId> = CacheMap::new();
+        assert_eq!((map.probe(&7), map.bytes()), (None, 0));
+        map.publish(7, 1);
+        map.publish(7, 2);
+        assert_eq!(map.probe(&7), Some(1), "a duplicate keeps the first value");
+        assert!(map.contains(&7) && !map.contains(&8));
+        assert_eq!(map.bytes(), std::mem::size_of::<(u64, u32)>() as u64);
     }
 
     #[test]

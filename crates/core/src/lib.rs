@@ -40,7 +40,6 @@ pub mod plan;
 pub mod plot;
 pub mod pricing;
 pub mod reduction;
-pub mod replica;
 pub mod report;
 pub mod request;
 pub mod sched;

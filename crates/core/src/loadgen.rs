@@ -15,8 +15,8 @@
 //! * **request classes** — the catalog mixes `gpu-point` sweeps,
 //!   `corun-series` (A1) and `corun-point` (A2) co-run requests, the
 //!   `what-if` study, and the descriptor-timed `dot`/`scan`/`gemv`
-//!   workloads, so every replicated cache layer carries traffic and
-//!   the report breaks latency down per class;
+//!   workloads, so every cache layer carries traffic and the report
+//!   breaks latency down per class;
 //! * **closed-loop arrival** — `conns` workers each keep exactly one
 //!   request outstanding; latency is measured from issue, and
 //!   throughput is capacity at that concurrency;
@@ -24,11 +24,10 @@
 //!   and latency is measured from the scheduled arrival time, so queue
 //!   delay is part of the number (the coordinated-omission-free model);
 //! * **phases** — a cold pass over the whole catalog, a warm zipf pass
-//!   over the replica-backed caches, and a `warm_recombine` pass of
-//!   *new* request ids assembled entirely from already-published work
-//!   items, which drives warm traffic through the point/series/corun
-//!   layers; both warm passes must report zero warm lock acquisitions
-//!   on every layer.
+//!   over the response cache, and a `warm_recombine` pass of *new*
+//!   request ids assembled entirely from already-published work items,
+//!   which drives warm traffic through the point/series/corun layers;
+//!   neither warm pass evaluates anything.
 //!
 //! Everything here is deterministic given the seed (its own SplitMix64;
 //! the workspace has no RNG dependency) and std-only, and the report
@@ -49,7 +48,7 @@ use crate::reduction::KernelKind;
 use crate::request::Request;
 use crate::sweep::{GpuSweep, SweepMode};
 use ghr_types::pipeline::{json_escape, json_f64};
-use ghr_types::{CacheLayer, WorkloadKind};
+use ghr_types::WorkloadKind;
 
 /// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al.), used
 /// for the zipf draws so schedules are reproducible across runs and
@@ -136,12 +135,6 @@ pub enum Outcome {
 pub trait LoadConn {
     /// Issue catalog entry `idx` and block until its response.
     fn issue(&mut self, idx: usize) -> Outcome;
-
-    /// One untimed hook after the warm-up issues, before the timed
-    /// barrier: the in-process connection syncs its thread's cache
-    /// replicas here so the timed section starts wait-free; the socket
-    /// connection has nothing to prepare.
-    fn prepare(&mut self) {}
 }
 
 /// Arrival discipline for a phase.
@@ -168,7 +161,7 @@ pub struct PhaseSpec<'a> {
     /// Concurrent connections.
     pub conns: usize,
     /// Catalog indices every connection issues *untimed* before the
-    /// clock starts (replica warm-up); empty for none.
+    /// clock starts (connection warm-up); empty for none.
     pub warmup: &'a [usize],
     /// Timed arrival order of catalog indices, shared work-queue style
     /// across connections.
@@ -235,11 +228,10 @@ pub struct PhaseMetrics {
 }
 
 /// Run one phase: connect `conns` workers via `connect`, run the untimed
-/// warm-up (plus each connection's [`LoadConn::prepare`] hook), call
-/// `on_timed_start` on the coordinating thread once every worker is
-/// warmed (the loadgen runner syncs the engine's pool replicas and
-/// snapshots counters there), then drain the schedule and merge
-/// per-worker latencies into whole-phase and per-class percentiles.
+/// warm-up, call `on_timed_start` on the coordinating thread once every
+/// worker is warmed (the loadgen runner snapshots counters there), then
+/// drain the schedule and merge per-worker latencies into whole-phase
+/// and per-class percentiles.
 pub fn run_phase<C, F>(
     spec: &PhaseSpec<'_>,
     connect: F,
@@ -267,7 +259,6 @@ where
                     for &idx in spec.warmup {
                         conn.issue(idx);
                     }
-                    conn.prepare();
                     ready.wait();
                     go.wait();
                     let epoch = *epoch.get().expect("epoch published before go");
@@ -408,33 +399,13 @@ pub struct HotPathDelta {
     pub coalesced: u64,
     /// Points freshly evaluated.
     pub evaluated: u64,
-    /// Mutex acquisitions on warm hits, summed across every cache layer
-    /// — 0 proves the wait-free path.
-    pub warm_lock_acquisitions: u64,
-    /// Replica log-tail replays.
-    pub replica_syncs: u64,
-    /// Wait-free replica snapshot hits.
-    pub replica_snapshot_hits: u64,
-    /// Warm lock acquisitions per cache layer, in [`CacheLayer::ALL`]
-    /// order (response, point, series, corun) — all four zero proves
-    /// lock-freedom layer by layer, not just in aggregate.
-    pub warm_locks: [u64; 4],
 }
 
 fn hot_path_delta(before: &EngineStats, after: &EngineStats) -> HotPathDelta {
-    let mut warm_locks = [0u64; 4];
-    for (slot, layer) in warm_locks.iter_mut().zip(CacheLayer::ALL) {
-        *slot =
-            after.layer(layer).warm_lock_acquisitions - before.layer(layer).warm_lock_acquisitions;
-    }
     HotPathDelta {
         response_hits: after.response_hits - before.response_hits,
         coalesced: after.coalesced - before.coalesced,
         evaluated: after.evaluated - before.evaluated,
-        warm_lock_acquisitions: after.warm_lock_acquisitions - before.warm_lock_acquisitions,
-        replica_syncs: after.replica_syncs - before.replica_syncs,
-        replica_snapshot_hits: after.replica_snapshot_hits - before.replica_snapshot_hits,
-        warm_locks,
     }
 }
 
@@ -566,23 +537,9 @@ impl LoadReport {
             if let Some(hp) = &phase.hot_path {
                 out.push_str(&format!(
                     ", \"hot_path\": {{\"response_hits\": {}, \"coalesced\": {}, \
-                     \"evaluated\": {}, \"warm_lock_acquisitions\": {}, \
-                     \"replica_syncs\": {}, \"replica_snapshot_hits\": {}, \
-                     \"warm_locks\": {{",
-                    hp.response_hits,
-                    hp.coalesced,
-                    hp.evaluated,
-                    hp.warm_lock_acquisitions,
-                    hp.replica_syncs,
-                    hp.replica_snapshot_hits,
+                     \"evaluated\": {}}}",
+                    hp.response_hits, hp.coalesced, hp.evaluated,
                 ));
-                for (j, layer) in CacheLayer::ALL.into_iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {}", layer.name(), hp.warm_locks[j]));
-                }
-                out.push_str("}}");
             }
             out.push('}');
             if i + 1 < self.phases.len() {
@@ -631,8 +588,8 @@ pub const CLASS_NAMES: [&str; 7] = [
 ];
 
 /// `n` distinct, cheap requests spanning every request class, so every
-/// replicated cache layer (points, series, per-`p` co-run points,
-/// responses) carries load-run traffic. Indices rotate gpu-point →
+/// cache layer (points, series, per-`p` co-run points, responses)
+/// carries load-run traffic. Indices rotate gpu-point →
 /// corun-series → corun-point → gpu-point → dot → scan → gemv; index 3
 /// is the single `what-if` entry (the study request has no parameters,
 /// so it cannot repeat distinctly). Element counts step by 320 per
@@ -684,10 +641,11 @@ pub fn class_catalog(n: usize) -> Vec<(Request, &'static str)> {
 /// of every exhaustive sweep, pairs of single-config co-run requests
 /// merged into one `Request::Corun` each, and every GEMV re-issued at
 /// its row-rounded element count (a new id that lowers to the same
-/// kernel points). Answering these costs zero fresh evaluations — the planner probes, the executor
-/// re-reads, and the assembly stitches entirely from the warm
-/// point/series/corun replicas — so a timed pass over them proves those
-/// layers lock-free, not just the response memo.
+/// kernel points). Answering these costs zero fresh evaluations — the
+/// planner probes, the executor re-reads, and the assembly stitches
+/// entirely from the warm point/series/corun maps — so a timed pass over
+/// them drives warm traffic through those layers, not just the response
+/// map.
 pub fn recombine_catalog(base: &[(Request, &'static str)]) -> Vec<(Request, &'static str)> {
     let mut out = Vec::new();
     let (mut a1, mut a2) = (Vec::new(), Vec::new());
@@ -763,20 +721,14 @@ impl LoadConn for EngineConn<'_> {
             Err(_) => Outcome::Error,
         }
     }
-
-    fn prepare(&mut self) {
-        // Replay this worker thread's replicas past every publication so
-        // the timed section starts from synced snapshots.
-        self.engine.sync_replicas();
-    }
 }
 
 /// Drive a load run against an in-process engine: a cold closed-loop
 /// pass over the whole class catalog, a warm phase replaying a zipf
 /// schedule over it, and a `warm_recombine` phase that issues each
 /// recombined request id exactly once — new responses assembled purely
-/// from warm item caches, proving the point/series/corun layers
-/// lock-free under traffic.
+/// from warm item caches, driving traffic through the point/series/corun
+/// layers without evaluating.
 pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     let n = cfg.catalog.max(1);
     let conns = cfg.conns.max(1);
@@ -805,9 +757,8 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
         .map(|_| zipf.sample(rng.next_f64()))
         .collect();
     let cold_schedule: Vec<usize> = (0..n).collect();
-    // Each recombined id exactly once: a repeat would be a response hit
-    // *behind* this phase's own publications — a replayed read, not the
-    // wait-free one the phase exists to measure.
+    // Each recombined id exactly once: a repeat would be a response hit,
+    // not the item-cache assembly the phase exists to measure.
     let recombine_schedule: Vec<usize> = (0..recombined.len()).collect();
     let warm_arrival = match cfg.rate {
         Some(rate_rps) => Arrival::Open { rate_rps },
@@ -818,7 +769,6 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
                catalog: &[(Request, u64)],
                classes: &[&str],
                schedule: &[usize],
-               warmup: &[usize],
                arrival: Arrival|
      -> Result<PhaseReport, String> {
         let before = std::cell::Cell::new(engine.stats());
@@ -826,22 +776,13 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
             &PhaseSpec {
                 name,
                 conns,
-                warmup,
+                warmup: &[],
                 schedule,
                 arrival,
                 classes,
             },
             |_| Ok(EngineConn { engine, catalog }),
-            // Snapshot after warm-up, before the clock: warm-up syncs
-            // (and their lock) stay out of the timed delta. The pool
-            // broadcast is safe here — every connection is parked at the
-            // ready barrier, so the pool is quiescent — and it brings
-            // the executor's worker replicas up to date so fanned cache
-            // re-reads in the timed section are wait-free too.
-            || {
-                engine.sync_pool_replicas();
-                before.set(engine.stats());
-            },
+            || before.set(engine.stats()),
         )?;
         let after = engine.stats();
         Ok(PhaseReport {
@@ -851,31 +792,13 @@ pub fn run_in_process(engine: &Engine, cfg: &LoadgenConfig) -> Result<LoadReport
     };
 
     let phases = vec![
-        run(
-            "cold",
-            &catalog,
-            &classes,
-            &cold_schedule,
-            &[],
-            Arrival::Closed,
-        )?,
-        // One untimed read per connection plus the prepare() sync brings
-        // every replica past every cold publication, so the timed
-        // section is pure snapshot hits.
-        run(
-            "warm",
-            &catalog,
-            &classes,
-            &warm_schedule,
-            &[0],
-            warm_arrival,
-        )?,
+        run("cold", &catalog, &classes, &cold_schedule, Arrival::Closed)?,
+        run("warm", &catalog, &classes, &warm_schedule, warm_arrival)?,
         run(
             "warm_recombine",
             &recombined,
             &recombine_classes,
             &recombine_schedule,
-            &[],
             Arrival::Closed,
         )?,
     ];
@@ -994,8 +917,6 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), total, "recombined ids must be new");
 
-        engine.sync_replicas();
-        engine.sync_pool_replicas();
         let before = engine.stats();
         for (r, _) in &recombined {
             let got = engine.respond(r).unwrap();
@@ -1004,18 +925,10 @@ mod tests {
         }
         let after = engine.stats();
         assert_eq!(after.evaluated, before.evaluated, "no fresh evaluation");
-        for layer in [CacheLayer::Point, CacheLayer::Series, CacheLayer::Corun] {
-            assert_eq!(
-                after.layer(layer).warm_lock_acquisitions,
-                before.layer(layer).warm_lock_acquisitions,
-                "synced {layer:?} reads must stay lock-free"
-            );
-            assert!(
-                after.layer(layer).replica_snapshot_hits
-                    > before.layer(layer).replica_snapshot_hits,
-                "recombined requests must drive warm {layer:?} traffic"
-            );
-        }
+        assert!(
+            after.hits > before.hits,
+            "recombined requests must drive warm item-cache traffic"
+        );
     }
 
     #[test]
@@ -1072,15 +985,9 @@ mod tests {
             "the warm phase must be pure cache traffic"
         );
         assert_eq!(warm.response_hits + warm.coalesced, 200);
-        assert_eq!(
-            warm.warm_lock_acquisitions, 0,
-            "the warm phase must be lock-free: {warm:?}"
-        );
-        assert_eq!(warm.warm_locks, [0; 4], "lock-free on every layer");
-        assert_eq!(warm.replica_snapshot_hits, warm.response_hits);
-        // The recombine phase: every id is new (zero response hits), no
-        // fresh evaluation, and no layer takes a warm lock — the
-        // point/series/corun replicas answer the whole assembly.
+        // The recombine phase: every id is new (zero response hits) and
+        // nothing is evaluated — the point/series/corun maps answer the
+        // whole assembly.
         let recombine = &report.phases[2];
         assert!(recombine.metrics.ok > 0);
         assert_eq!(recombine.metrics.errors, 0);
@@ -1088,10 +995,6 @@ mod tests {
         let hp = recombine.hot_path.unwrap();
         assert_eq!(hp.evaluated, 0, "recombined ids assemble from warm caches");
         assert_eq!(hp.response_hits, 0, "every recombined id is new");
-        assert_eq!(
-            hp.warm_locks, [0; 4],
-            "recombine phase must be lock-free on every layer: {hp:?}"
-        );
         let json = report.to_json();
         for key in [
             "\"bench\": \"loadgen\"",
@@ -1106,9 +1009,7 @@ mod tests {
             "\"name\": \"corun-series\"",
             "\"name\": \"corun-point\"",
             "\"name\": \"what-if\"",
-            "\"warm_lock_acquisitions\": 0",
-            "\"warm_locks\": {\"response\": 0, \"point\": 0, \"series\": 0, \
-             \"corun\": 0}",
+            "\"evaluated\": 0",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

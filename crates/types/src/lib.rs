@@ -30,6 +30,6 @@ pub use error::{GhrError, Result};
 pub use json::{Json, JsonError};
 pub use kernel::{CombinePattern, KernelDescriptor, OutputCardinality, WorkloadKind};
 pub use pipeline::{PlanSummary, RequestId, SessionStats, StagePlan, StageTiming};
-pub use stats::{CacheLayer, CacheLayerStats, RouterStats, RouterWorkerStats, Summary};
+pub use stats::{RouterStats, RouterWorkerStats, Summary};
 pub use transport::{Endpoint, Listener, Stream};
 pub use units::{Bandwidth, Bytes, Frequency, SimTime};

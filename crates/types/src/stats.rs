@@ -1,76 +1,5 @@
 //! Small online-statistics helpers used by harnesses and benches, plus
-//! the per-cache-layer warm-path ledger the engine reports.
-
-/// The engine's warm-path cache layers, in reporting order: four NR-lite
-/// replicated maps (response memo, GPU point cache, co-run series cache,
-/// per-`p` co-run point cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLayer {
-    /// Whole-response memo keyed by request id.
-    Response = 0,
-    /// Scalar GPU/what-if point cache keyed by resolved work item.
-    Point = 1,
-    /// Co-run series cache keyed by co-run config.
-    Series = 2,
-    /// Per-`p` A2 co-run point cache.
-    Corun = 3,
-}
-
-impl CacheLayer {
-    /// Every layer, in reporting order.
-    pub const ALL: [CacheLayer; 4] = [
-        CacheLayer::Response,
-        CacheLayer::Point,
-        CacheLayer::Series,
-        CacheLayer::Corun,
-    ];
-
-    /// Stable lowercase name used in JSON and table output.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheLayer::Response => "response",
-            CacheLayer::Point => "point",
-            CacheLayer::Series => "series",
-            CacheLayer::Corun => "corun",
-        }
-    }
-}
-
-/// Warm-path accounting for one cache layer — the per-layer breakdown
-/// of the engine's aggregate `warm_lock_acquisitions` / `replica_*`
-/// counters, so lock-freedom is provable layer by layer, not just in
-/// aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheLayerStats {
-    /// Mutex acquisitions performed by warm probes of this layer that
-    /// were answered with a value. Zero once the reader's replica is
-    /// synced.
-    pub warm_lock_acquisitions: u64,
-    /// Distinct records appended to this layer's replica log
-    /// (publication is first-write-wins, so this equals the number of
-    /// distinct published keys).
-    pub replica_published: u64,
-    /// Replica reads that had to replay the log tail under its lock (a
-    /// thread's first read, or its first read after a publication).
-    pub replica_syncs: u64,
-    /// Warm reads answered wait-free from an already-synced replica
-    /// snapshot — zero mutex acquisitions.
-    pub replica_snapshot_hits: u64,
-    /// Shallow bytes held by this layer's append-only log (bounded by
-    /// distinct published keys).
-    pub replica_log_bytes: u64,
-}
-
-impl CacheLayerStats {
-    /// Add another layer's counters into this one (the aggregate view).
-    pub fn accumulate(&mut self, other: &CacheLayerStats) {
-        self.warm_lock_acquisitions += other.warm_lock_acquisitions;
-        self.replica_published += other.replica_published;
-        self.replica_syncs += other.replica_syncs;
-        self.replica_snapshot_hits += other.replica_snapshot_hits;
-        self.replica_log_bytes += other.replica_log_bytes;
-    }
-}
+//! the router's forwarding ledger.
 
 /// One worker's row in the router's forwarding ledger.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,11 +3,9 @@
 #   1. in-process: `ghr loadgen` against the engine; BENCH_loadgen.json
 #      must carry cold/warm/warm_recombine phases with p50/p95/p99 and
 #      a per-class latency breakdown (gpu-point, corun-series,
-#      corun-point, what-if). Both warm phases must report zero lock
-#      acquisitions in EVERY cache layer (response, point, series,
-#      corun) — the end-to-end lock-free proof — and warm_recombine
-#      must additionally evaluate nothing (every never-seen id
-#      assembled from warm item caches).
+#      corun-point, what-if). Neither warm phase may evaluate anything:
+#      `warm` replays ids the cold pass published, and warm_recombine
+#      assembles every never-seen id from warm item caches.
 #   2. socket: start `ghr serve --socket --max-inflight 2 --sessions 16`,
 #      drive it closed-loop with `ghr loadgen --socket` (2 warm conns —
 #      never past the budget — and an 8-conn overload phase whose cold
@@ -40,7 +38,7 @@ if [ ! -s "$json" ]; then
 fi
 for key in '"bench": "loadgen"' '"name": "cold"' '"name": "warm"' \
     '"name": "warm_recombine"' '"p50"' '"p95"' '"p99"' \
-    '"throughput_rps"' '"warm_lock_acquisitions": 0' '"classes": ['; do
+    '"throughput_rps"' '"classes": ['; do
     if ! grep -qF "$key" "$json"; then
         echo "FAIL: $key missing from BENCH_loadgen.json" >&2
         cat "$json" >&2
@@ -55,29 +53,23 @@ for class in gpu-point corun-series corun-point what-if; do
         exit 1
     fi
 done
-# Per-layer lock-freedom: both warm phases must acquire zero locks in
-# every cache layer, and the recombine phase — never-seen ids assembled
-# purely from warm item caches — must not evaluate anything.
-ZERO_LOCKS='"warm_locks": {"response": 0, "point": 0, "series": 0, "corun": 0}'
+# Both warm phases are pure cache traffic: the zipf replay and the
+# recombine phase (never-seen ids assembled purely from warm item
+# caches) must not evaluate anything.
 for phase in '"name": "warm"' '"name": "warm_recombine"'; do
-    if ! sed -n "/$phase/p" "$json" | grep -qF "$ZERO_LOCKS"; then
-        echo "FAIL: phase $phase acquired locks in a cache layer" >&2
+    if ! sed -n "/$phase,/p" "$json" | grep -qF '"evaluated": 0}'; then
+        echo "FAIL: phase $phase evaluated fresh work" >&2
         cat "$json" >&2
         exit 1
     fi
 done
-if ! sed -n '/"name": "warm_recombine"/p' "$json" | grep -qF '"evaluated": 0'; then
-    echo "FAIL: warm_recombine phase evaluated fresh work" >&2
-    cat "$json" >&2
-    exit 1
-fi
 # The warm phases answered every request and moved actual traffic.
 if grep -q '"throughput_rps": 0[,}]' "$json"; then
     echo "FAIL: a phase reported zero throughput" >&2
     cat "$json" >&2
     exit 1
 fi
-echo "==> BENCH_loadgen.json: per-layer lock-free warm phases + class breakdown"
+echo "==> BENCH_loadgen.json: evaluation-free warm phases + class breakdown"
 
 echo "==> socket loadgen against --max-inflight 2"
 SOCK="$WORK/ghr.sock"

@@ -30,8 +30,8 @@ cargo test -q
 echo "==> cargo test -q -p ghr-core --test engine_concurrency"
 cargo test -q -p ghr-core --test engine_concurrency
 
-echo "==> cargo test -q -p ghr-core --test replica_race"
-cargo test -q -p ghr-core --test replica_race
+echo "==> cargo test -q -p ghr-core --test cache_race"
+cargo test -q -p ghr-core --test cache_race
 
 echo "==> cargo test -q -p ghr-cli --test serve_loop"
 cargo test -q -p ghr-cli --test serve_loop

@@ -63,10 +63,10 @@ use ghr_core::{
     plot::AsciiChart,
     reduction::{KernelKind, ReductionSpec},
     report::{fmt_gbps, fmt_speedup, Table},
-    request::{corun_config, Request, Response},
+    request::{Request, Response},
     sched::{compare_policies, comparison_table},
     study::CorunStudy,
-    sweep::{GpuSweep, SweepResult},
+    sweep::SweepResult,
     table1::Table1,
     verify,
     whatif::WhatIfStudy,
@@ -378,36 +378,19 @@ fn cache_store_files(dir: &std::path::Path) -> Result<Vec<PathBuf>, String> {
 }
 
 pub(crate) fn dispatch(engine: &Arc<Engine>, cmd: &str, rest: &[String]) -> Result<String, String> {
+    if let Some(render) = Render::parse(cmd, rest) {
+        return render.answer(engine, rest);
+    }
     let machine = engine.machine();
     match cmd {
         "machine" => cmd_machine(machine),
-        "table1" => cmd_table1(engine, rest.iter().any(|a| a == "--compare")),
-        "fig1" => {
-            let case = parse_case(rest.first().map(String::as_str).unwrap_or("c1"))?;
-            cmd_fig1(
-                engine,
-                case,
-                rest.iter().any(|a| a == "--csv"),
-                wants_plot(rest),
-            )
-        }
-        "fig2a" => cmd_corun_fig(engine, AllocSite::A1, false, rest),
-        "fig2b" => cmd_corun_fig(engine, AllocSite::A1, true, rest),
-        "fig4a" => cmd_corun_fig(engine, AllocSite::A2, false, rest),
-        "fig4b" => cmd_corun_fig(engine, AllocSite::A2, true, rest),
         "sched" => {
             let case = parse_case(rest.first().map(String::as_str).unwrap_or("c1"))?;
             cmd_sched(machine, case)
         }
         "accuracy" => cmd_accuracy(),
         "explain" => cmd_explain(machine, rest),
-        "whatif" => cmd_whatif(engine),
         "sensitivity" => cmd_sensitivity(),
-        "fig3" => cmd_speedup_fig(engine, AllocSite::A1),
-        "fig5" => cmd_speedup_fig(engine, AllocSite::A2),
-        "summary" => cmd_summary(engine),
-        "autotune" => cmd_autotune(engine),
-        "dot" | "scan" | "gemv" => cmd_workload(engine, cmd, rest),
         "verify" => {
             let m = match rest.first() {
                 Some(s) => s
@@ -454,32 +437,171 @@ pub(crate) const SERVABLE: &str =
      dot <case>, scan <case>, gemv <case>";
 
 /// Resolve an experiment command line to the declarative [`Request`] it
-/// runs — the single source of truth shared by `ghr plan`, `ghr serve`
-/// and (through the engine's typed shorthands) the one-shot commands.
-/// `Ok(None)` means the command exists but is not request-backed
-/// (`bench`, `verify`, `machine`, …).
+/// runs — the single source of truth shared by `ghr plan`, `ghr serve`,
+/// the router's `route_key` and the one-shot commands. `Ok(None)` means
+/// the command exists but is not request-backed (`bench`, `verify`,
+/// `machine`, …).
 pub(crate) fn request_for(cmd: &str, rest: &[String]) -> Result<Option<Request>, String> {
-    let advice = rest.iter().any(|a| a == "--advice");
-    Ok(Some(match cmd {
-        "table1" => Request::Table1,
-        "fig1" => Request::fig1(parse_case(
-            rest.first().map(String::as_str).unwrap_or("c1"),
-        )?),
-        "fig2a" => Request::corun_fig(AllocSite::A1, false, advice),
-        "fig2b" => Request::corun_fig(AllocSite::A1, true, advice),
-        "fig4a" => Request::corun_fig(AllocSite::A2, false, advice),
-        "fig4b" => Request::corun_fig(AllocSite::A2, true, advice),
-        "fig3" => Request::speedup_fig(AllocSite::A1),
-        "fig5" => Request::speedup_fig(AllocSite::A2),
-        "summary" => Request::Study {
-            m: None,
-            n_reps: None,
-        },
-        "autotune" => Request::autotune_all(),
-        "whatif" => Request::WhatIf,
-        "dot" | "scan" | "gemv" => parse_workload(cmd, rest)?,
-        _ => return Ok(None),
-    }))
+    Render::parse(cmd, rest)
+        .map(|render| render.request(rest))
+        .transpose()
+}
+
+/// The servable experiment commands: each resolves to a declarative
+/// [`Request`] and renders its response through [`Render::body`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Table1,
+    Fig1,
+    Fig2a,
+    Fig2b,
+    Fig3,
+    Fig4a,
+    Fig4b,
+    Fig5,
+    Summary,
+    Autotune,
+    WhatIf,
+    Dot,
+    Scan,
+    Gemv,
+}
+
+impl Command {
+    fn parse(cmd: &str) -> Option<Self> {
+        Some(match cmd {
+            "table1" => Command::Table1,
+            "fig1" => Command::Fig1,
+            "fig2a" => Command::Fig2a,
+            "fig2b" => Command::Fig2b,
+            "fig3" => Command::Fig3,
+            "fig4a" => Command::Fig4a,
+            "fig4b" => Command::Fig4b,
+            "fig5" => Command::Fig5,
+            "summary" => Command::Summary,
+            "autotune" => Command::Autotune,
+            "whatif" => Command::WhatIf,
+            "dot" => Command::Dot,
+            "scan" => Command::Scan,
+            "gemv" => Command::Gemv,
+            _ => return None,
+        })
+    }
+
+    /// Whether this is one of the four co-run figures (fig2a/2b/4a/4b).
+    fn is_corun_fig(self) -> bool {
+        matches!(
+            self,
+            Command::Fig2a | Command::Fig2b | Command::Fig4a | Command::Fig4b
+        )
+    }
+}
+
+/// How one servable command line is answered: its command plus every
+/// switch that command's renderer reads, parsed once, so the request,
+/// the renderer and the body memo's key ([`Render::variant`]) read the
+/// same options. A switch the command's renderer ignores stays unset:
+/// `table1 --csv` renders, and keys, as `table1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Render {
+    command: Command,
+    compare: bool,
+    csv: bool,
+    plot: bool,
+    advice: bool,
+}
+
+impl Render {
+    /// The render options of `cmd rest…`, or `None` when `cmd` is not a
+    /// servable command.
+    pub(crate) fn parse(cmd: &str, rest: &[String]) -> Option<Self> {
+        let command = Command::parse(cmd)?;
+        let has = |switch: &str| rest.iter().any(|a| a == switch);
+        Some(Render {
+            command,
+            compare: command == Command::Table1 && has("--compare"),
+            csv: command == Command::Fig1 && has("--csv"),
+            plot: (command == Command::Fig1 || command.is_corun_fig()) && has("--plot"),
+            advice: command.is_corun_fig() && has("--advice"),
+        })
+    }
+
+    /// The command and its switches packed into one word: the body
+    /// memo's key next to the request id ([`Engine::render_once`]).
+    pub(crate) fn variant(self) -> u32 {
+        self.command as u32
+            | u32::from(self.compare) << 8
+            | u32::from(self.csv) << 9
+            | u32::from(self.plot) << 10
+            | u32::from(self.advice) << 11
+    }
+
+    /// The declarative request the line resolves to.
+    pub(crate) fn request(self, rest: &[String]) -> Result<Request, String> {
+        let corun = |alloc, optimized| Request::corun_fig(alloc, optimized, self.advice);
+        Ok(match self.command {
+            Command::Table1 => Request::Table1,
+            Command::Fig1 => Request::fig1(parse_case(
+                rest.first().map(String::as_str).unwrap_or("c1"),
+            )?),
+            Command::Fig2a => corun(AllocSite::A1, false),
+            Command::Fig2b => corun(AllocSite::A1, true),
+            Command::Fig4a => corun(AllocSite::A2, false),
+            Command::Fig4b => corun(AllocSite::A2, true),
+            Command::Fig3 => Request::speedup_fig(AllocSite::A1),
+            Command::Fig5 => Request::speedup_fig(AllocSite::A2),
+            Command::Summary => Request::Study {
+                m: None,
+                n_reps: None,
+            },
+            Command::Autotune => Request::autotune_all(),
+            Command::WhatIf => Request::WhatIf,
+            Command::Dot => parse_workload("dot", rest)?,
+            Command::Scan => parse_workload("scan", rest)?,
+            Command::Gemv => parse_workload("gemv", rest)?,
+        })
+    }
+
+    /// Render the line's body from its evaluated response. The one-shot
+    /// command and `ghr serve` both render here, so a serve frame body is
+    /// byte-identical to the `ghr <command>` output.
+    pub(crate) fn body(self, response: &Response) -> Result<String, String> {
+        let shape = |e: ghr_types::GhrError| e.to_string();
+        let corun = |alloc, optimized| -> Result<String, String> {
+            let series = response.corun().map_err(shape)?;
+            Ok(render_corun_fig(
+                alloc,
+                optimized,
+                self.plot,
+                self.advice,
+                series,
+            ))
+        };
+        Ok(match self.command {
+            Command::Table1 => render_table1(response.table1().map_err(shape)?, self.compare),
+            Command::Fig1 => render_fig1(response.sweep().map_err(shape)?, self.csv, self.plot),
+            Command::Fig2a => corun(AllocSite::A1, false)?,
+            Command::Fig2b => corun(AllocSite::A1, true)?,
+            Command::Fig4a => corun(AllocSite::A2, false)?,
+            Command::Fig4b => corun(AllocSite::A2, true)?,
+            Command::Fig3 => render_speedup_fig(AllocSite::A1, response.corun().map_err(shape)?),
+            Command::Fig5 => render_speedup_fig(AllocSite::A2, response.corun().map_err(shape)?),
+            Command::Summary => render_summary(response.study().map_err(shape)?),
+            Command::Autotune => render_autotune(response.autotune().map_err(shape)?),
+            Command::WhatIf => render_whatif(response.whatif().map_err(shape)?),
+            Command::Dot | Command::Scan | Command::Gemv => {
+                render_workload(response.workload().map_err(shape)?)
+            }
+        })
+    }
+
+    /// Evaluate the line on `engine` and render it — the one-shot path.
+    fn answer(self, engine: &Engine, rest: &[String]) -> Result<String, String> {
+        let response = engine
+            .run(&self.request(rest)?)
+            .map_err(|e| e.to_string())?;
+        self.body(&response)
+    }
 }
 
 /// Parse `ghr dot|scan|gemv [case] [--m N] [--cols N]` into its request.
@@ -510,16 +632,6 @@ fn parse_workload(cmd: &str, rest: &[String]) -> Result<Request, String> {
             m,
         },
     })
-}
-
-/// `ghr dot|scan|gemv` — evaluate one descriptor-timed workload request
-/// and render its teams sweep, rooflines, placement and checksum.
-fn cmd_workload(engine: &Engine, cmd: &str, rest: &[String]) -> Result<String, String> {
-    let request = parse_workload(cmd, rest)?;
-    let response = engine.run(&request).map_err(|e| e.to_string())?;
-    Ok(render_workload(
-        response.workload().map_err(|e| e.to_string())?,
-    ))
 }
 
 /// Render a [`WorkloadResult`]: the sweep table plus the GPU-vs-CPU
@@ -796,10 +908,6 @@ fn cmd_client(rest: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn wants_plot(rest: &[String]) -> bool {
-    rest.iter().any(|a| a == "--plot")
-}
-
 fn parse_case(s: &str) -> Result<Case, String> {
     match s.to_ascii_lowercase().as_str() {
         "c1" => Ok(Case::C1),
@@ -836,53 +944,6 @@ fn cmd_machine(machine: &MachineConfig) -> Result<String, String> {
     Ok(out)
 }
 
-/// Render a servable command's body from an already-evaluated typed
-/// [`Response`] — the serve path. The one-shot `cmd_*` functions call the
-/// same `render_*` helpers, so a serve frame body is byte-identical to
-/// the corresponding `ghr <command>` output.
-pub(crate) fn render_servable(
-    cmd: &str,
-    rest: &[String],
-    response: &Response,
-) -> Result<String, String> {
-    let shape = |e: ghr_types::GhrError| e.to_string();
-    Ok(match cmd {
-        "table1" => render_table1(
-            response.table1().map_err(shape)?,
-            rest.iter().any(|a| a == "--compare"),
-        ),
-        "fig1" => {
-            let case = parse_case(rest.first().map(String::as_str).unwrap_or("c1"))?;
-            render_fig1(
-                case,
-                response.sweep().map_err(shape)?,
-                rest.iter().any(|a| a == "--csv"),
-                wants_plot(rest),
-            )
-        }
-        "fig2a" => render_corun_fig(AllocSite::A1, false, rest, response.corun().map_err(shape)?),
-        "fig2b" => render_corun_fig(AllocSite::A1, true, rest, response.corun().map_err(shape)?),
-        "fig4a" => render_corun_fig(AllocSite::A2, false, rest, response.corun().map_err(shape)?),
-        "fig4b" => render_corun_fig(AllocSite::A2, true, rest, response.corun().map_err(shape)?),
-        "fig3" => render_speedup_fig(AllocSite::A1, response.corun().map_err(shape)?),
-        "fig5" => render_speedup_fig(AllocSite::A2, response.corun().map_err(shape)?),
-        "summary" => render_summary(response.study().map_err(shape)?),
-        "autotune" => render_autotune(response.autotune().map_err(shape)?),
-        "whatif" => render_whatif(response.whatif().map_err(shape)?),
-        "dot" | "scan" | "gemv" => render_workload(response.workload().map_err(shape)?),
-        other => {
-            return Err(format!(
-                "{other:?} is not a servable experiment request (serve answers: {SERVABLE})"
-            ))
-        }
-    })
-}
-
-fn cmd_table1(engine: &Engine, compare: bool) -> Result<String, String> {
-    let t = engine.table1().map_err(|e| e.to_string())?;
-    Ok(render_table1(&t, compare))
-}
-
 fn render_table1(t: &Table1, compare: bool) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -903,14 +964,8 @@ fn render_table1(t: &Table1, compare: bool) -> String {
     out
 }
 
-fn cmd_fig1(engine: &Engine, case: Case, csv: bool, plot: bool) -> Result<String, String> {
-    let r = engine
-        .sweep(&GpuSweep::paper(case))
-        .map_err(|e| e.to_string())?;
-    Ok(render_fig1(case, &r, csv, plot))
-}
-
-fn render_fig1(case: Case, r: &SweepResult, csv: bool, plot: bool) -> String {
+fn render_fig1(r: &SweepResult, csv: bool, plot: bool) -> String {
+    let case = r.sweep.case;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -947,31 +1002,15 @@ fn render_fig1(case: Case, r: &SweepResult, csv: bool, plot: bool) -> String {
     out
 }
 
-fn cmd_corun_fig(
-    engine: &Engine,
-    alloc: AllocSite,
-    optimized: bool,
-    rest: &[String],
-) -> Result<String, String> {
-    let advice = rest.iter().any(|a| a == "--advice");
-    let configs: Vec<CorunConfig> = Case::ALL
-        .into_iter()
-        .map(|c| corun_config(c, alloc, optimized, advice))
-        .collect();
-    let series: Vec<Arc<CorunSeries>> = engine.corun_many(&configs).map_err(|e| e.to_string())?;
-    Ok(render_corun_fig(alloc, optimized, rest, &series))
-}
-
 /// Render fig2a/2b/4a/4b from the four per-case series (the
 /// [`Request::corun_fig`] response order).
 fn render_corun_fig(
     alloc: AllocSite,
     optimized: bool,
-    rest: &[String],
+    plot: bool,
+    advice: bool,
     series: &[Arc<CorunSeries>],
 ) -> String {
-    let plot = wants_plot(rest);
-    let advice = rest.iter().any(|a| a == "--advice");
     let which = if optimized { "optimized" } else { "baseline" };
     let mut out = String::new();
     let _ =
@@ -1010,22 +1049,6 @@ fn render_corun_fig(
     out
 }
 
-fn cmd_speedup_fig(engine: &Engine, alloc: AllocSite) -> Result<String, String> {
-    // One fan-out over all eight series (base + optimized per case); the
-    // engine's cache shares them with fig2a/2b/4a/4b and summary.
-    let configs: Vec<CorunConfig> = Case::ALL
-        .into_iter()
-        .flat_map(|c| {
-            [
-                corun_config(c, alloc, false, false),
-                corun_config(c, alloc, true, false),
-            ]
-        })
-        .collect();
-    let series = engine.corun_many(&configs).map_err(|e| e.to_string())?;
-    Ok(render_speedup_fig(alloc, &series))
-}
-
 /// Render fig3/fig5 from the eight `[base, opt]`-interleaved series (the
 /// [`Request::speedup_fig`] response order).
 fn render_speedup_fig(alloc: AllocSite, series: &[Arc<CorunSeries>]) -> String {
@@ -1055,11 +1078,6 @@ fn render_speedup_fig(alloc: AllocSite, series: &[Arc<CorunSeries>]) -> String {
     out
 }
 
-fn cmd_summary(engine: &Engine) -> Result<String, String> {
-    let study = engine.full_study().map_err(|e| e.to_string())?;
-    Ok(render_summary(&study))
-}
-
 fn render_summary(study: &CorunStudy) -> String {
     let sum = study.summary();
     let mut out = String::new();
@@ -1085,11 +1103,6 @@ fn render_summary(study: &CorunStudy) -> String {
         sum.a2_opt_peaks.map(|x| (x * 1000.0).round() / 1000.0)
     );
     out
-}
-
-fn cmd_autotune(engine: &Engine) -> Result<String, String> {
-    let tuned = engine.autotune_all().map_err(|e| e.to_string())?;
-    Ok(render_autotune(&tuned))
 }
 
 fn render_autotune(tuned: &[TunedConfig]) -> String {
@@ -1168,11 +1181,6 @@ fn cmd_explain(machine: &MachineConfig, rest: &[String]) -> Result<String, Strin
         e.warmup_reps(),
         e.to_table(8).to_markdown()
     ))
-}
-
-fn cmd_whatif(engine: &Engine) -> Result<String, String> {
-    let s = engine.whatif().map_err(|e| e.to_string())?;
-    Ok(render_whatif(&s))
 }
 
 fn render_whatif(s: &WhatIfStudy) -> String {
@@ -1470,51 +1478,29 @@ fn cmd_all(engine: &Engine, dir: &str) -> Result<String, String> {
     // One engine serves every artifact, so the overlapping grids (the
     // optimized Table-1 points inside the Fig. 1 sweeps, the fig2/fig4
     // series inside fig3/fig5 and summary, the sweeps under autotune)
-    // are evaluated once.
-    save("table1.md", cmd_table1(engine, true)?, &mut written)?;
+    // are evaluated once. Each artifact is its one-shot command's output.
+    let answer = |line: &str| -> Result<String, String> {
+        let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let render = Render::parse(&words[0], &words[1..]).expect("a servable artifact line");
+        render.answer(engine, &words[1..])
+    };
+    save("table1.md", answer("table1 --compare")?, &mut written)?;
     for case in Case::ALL {
+        let label = case.label().to_ascii_lowercase();
         save(
-            &format!("fig1_{}.md", case.label().to_ascii_lowercase()),
-            cmd_fig1(engine, case, false, false)?,
+            &format!("fig1_{label}.md"),
+            answer(&format!("fig1 {label}"))?,
             &mut written,
         )?;
     }
-    let no_flags: Vec<String> = Vec::new();
-    save(
-        "fig2a.md",
-        cmd_corun_fig(engine, AllocSite::A1, false, &no_flags)?,
-        &mut written,
-    )?;
-    save(
-        "fig2b.md",
-        cmd_corun_fig(engine, AllocSite::A1, true, &no_flags)?,
-        &mut written,
-    )?;
-    save(
-        "fig3.md",
-        cmd_speedup_fig(engine, AllocSite::A1)?,
-        &mut written,
-    )?;
-    save(
-        "fig4a.md",
-        cmd_corun_fig(engine, AllocSite::A2, false, &no_flags)?,
-        &mut written,
-    )?;
-    save(
-        "fig4b.md",
-        cmd_corun_fig(engine, AllocSite::A2, true, &no_flags)?,
-        &mut written,
-    )?;
-    save(
-        "fig5.md",
-        cmd_speedup_fig(engine, AllocSite::A2)?,
-        &mut written,
-    )?;
-    save("summary.md", cmd_summary(engine)?, &mut written)?;
-    save("autotune.md", cmd_autotune(engine)?, &mut written)?;
+    for fig in [
+        "fig2a", "fig2b", "fig3", "fig4a", "fig4b", "fig5", "summary", "autotune",
+    ] {
+        save(&format!("{fig}.md"), answer(fig)?, &mut written)?;
+    }
     save("sched.md", cmd_sched(machine, Case::C1)?, &mut written)?;
     save("accuracy.md", cmd_accuracy()?, &mut written)?;
-    save("whatif.md", cmd_whatif(engine)?, &mut written)?;
+    save("whatif.md", answer("whatif")?, &mut written)?;
     save("sensitivity.md", cmd_sensitivity()?, &mut written)?;
     // The descriptor-timed workloads: model-priced sweeps plus a real
     // functional checksum per case, so the artifact set (and the
@@ -1524,7 +1510,7 @@ fn cmd_all(engine: &Engine, dir: &str) -> Result<String, String> {
         for kind in ["dot", "scan", "gemv"] {
             save(
                 &format!("{kind}_{label}.md"),
-                cmd_workload(engine, kind, std::slice::from_ref(&label))?,
+                answer(&format!("{kind} {label}"))?,
                 &mut written,
             )?;
         }
@@ -1864,6 +1850,53 @@ mod tests {
         assert!(second.contains("7 hits, 0 misses"), "{second}");
         let body = |s: &str| s.split("\nengine:").next().unwrap().to_string();
         assert_eq!(body(&first), body(&second));
+    }
+
+    #[test]
+    fn render_variants_key_exactly_the_switches_each_renderer_reads() {
+        let variant = |line: &str| {
+            let words = args(&line.split_whitespace().collect::<Vec<_>>());
+            Render::parse(&words[0], &words[1..]).unwrap().variant()
+        };
+        // A switch the command's renderer ignores does not split its key.
+        assert_eq!(variant("table1 --csv --plot"), variant("table1"));
+        assert_eq!(variant("fig1 c2 --compare"), variant("fig1 c2"));
+        assert_eq!(variant("dot c1 --plot"), variant("dot c1"));
+        assert_eq!(
+            variant("fig1 c2 --plot --csv"),
+            variant("fig1 c2 --csv --plot")
+        );
+        // Every command and every switch it reads does.
+        let mut keys: Vec<u32> = [
+            "table1",
+            "table1 --compare",
+            "fig1",
+            "fig1 --csv",
+            "fig1 --plot",
+            "fig1 --csv --plot",
+            "fig2a",
+            "fig2a --plot",
+            "fig2a --advice",
+            "fig2b",
+            "fig4a",
+            "fig4b",
+            "fig3",
+            "fig5",
+            "summary",
+            "autotune",
+            "whatif",
+            "dot",
+            "scan",
+            "gemv",
+        ]
+        .iter()
+        .map(|l| variant(l))
+        .collect();
+        let n = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), n, "variants must be distinct");
+        assert!(Render::parse("bench", &[]).is_none());
     }
 
     #[test]

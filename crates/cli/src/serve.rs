@@ -20,7 +20,10 @@
 //! cache with zero re-planning and zero evaluations (`evals=0 cached=yes`),
 //! and a request that duplicates another session's *in-flight* evaluation
 //! coalesces onto it (`evals=0 cached=coalesced`) instead of evaluating
-//! again. `quit` or `exit` (or EOF) ends one session; blank lines and `#`
+//! again. A repeated line — same id and render variant — also skips the
+//! renderer: from the id's second touch on, its body comes from the
+//! engine's render memo ([`Engine::render_once`]). `quit` or `exit` (or
+//! EOF) ends one session; blank lines and `#`
 //! comments are ignored. The store is flushed after every request, so a
 //! concurrent or later process sees results as soon as they exist.
 //!
@@ -64,10 +67,11 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ghr_core::engine::{Engine, EngineStats, ResponseSource};
 use ghr_types::wire::{self, Frame};
-use ghr_types::{SessionStats, StageTiming};
+use ghr_types::{RequestId, SessionStats, StageTiming};
 
 /// Longest accepted request line, in bytes. Real requests are a few words;
 /// anything longer is a confused client or a protocol attack.
@@ -354,11 +358,12 @@ pub fn serve_session(
                         "coalesced"
                     }
                 };
-                ("ok", id, body, cached, evals)
+                ("ok", id.to_string(), body, cached, evals)
             }
             Err(e) => {
                 summary.stats.errors += 1;
-                ("error", "-".repeat(16), format!("error: {e}\n"), "no", 0)
+                let body = format!("error: {e}\n").into();
+                ("error", "-".repeat(16), body, "no", 0)
             }
         };
         send(out, &Frame::response(&id, status, &body, evals, cached))?;
@@ -402,33 +407,34 @@ pub fn serve_loop(
     )
 }
 
-/// Answer one request line: resolve it to a declarative [`ghr_core::Request`]
-/// (the id in the frame header), run it through [`Engine::respond`] —
-/// single-flight, so a duplicate of another session's in-flight request
-/// waits for that evaluation instead of repeating it — and render the
-/// typed response through the same renderers the one-shot CLI uses, so a
-/// serve body is byte-identical to the corresponding `ghr <command>`
-/// output.
+/// Answer one request line: parse its command and render switches once,
+/// resolve it to a declarative [`ghr_core::Request`] and hash that once
+/// (the id in the frame header), run it through
+/// [`Engine::respond_with_id`] — single-flight, so a duplicate of another
+/// session's in-flight request waits for that evaluation instead of
+/// repeating it — and take the body from [`Engine::render_once`]: the
+/// memoized body of a repeated `(id, render variant)`, or a fresh render
+/// through the renderer the one-shot CLI uses, so a serve body is
+/// byte-identical to the corresponding `ghr <command>` output.
 fn serve_one(
     engine: &Engine,
     cmd: &str,
     rest: &[String],
-) -> Result<(String, String, ResponseSource, u64), String> {
-    let request = crate::request_for(cmd, rest)?.ok_or_else(|| {
+) -> Result<(RequestId, Arc<str>, ResponseSource, u64), String> {
+    let render = crate::Render::parse(cmd, rest).ok_or_else(|| {
         format!(
             "{cmd:?} is not a servable experiment request \
              (serve answers: {})",
             crate::SERVABLE
         )
     })?;
-    let responded = engine.respond(&request).map_err(|e| e.to_string())?;
-    let body = crate::render_servable(cmd, rest, &responded.response)?;
-    Ok((
-        request.id().to_string(),
-        body,
-        responded.source,
-        responded.evals,
-    ))
+    let request = render.request(rest)?;
+    let id = request.id();
+    let responded = engine
+        .respond_with_id(&request, id.0)
+        .map_err(|e| e.to_string())?;
+    let body = engine.render_once(id.0, render.variant(), &responded, |r| render.body(r))?;
+    Ok((id, body, responded.source, responded.evals))
 }
 
 /// Write one whole frame to the session's output as one buffer.

@@ -142,6 +142,126 @@ fn workload_requests_round_trip_through_serve() {
     );
 }
 
+/// Serve `input` as one session on `engine`; the frames, parsed.
+fn serve_frames(engine: &Engine, input: &str) -> Vec<Frame> {
+    let mut out = Vec::new();
+    serve_loop(
+        engine,
+        BufReader::new(input.as_bytes()),
+        &mut out,
+        &mut std::io::sink(),
+    )
+    .unwrap();
+    parse_frames(&String::from_utf8(out).unwrap())
+}
+
+/// What the one-shot `ghr <line>` prints, with no persistent store.
+fn one_shot(line: &str) -> String {
+    let mut words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    let cmd = words.remove(0);
+    words.push("--no-cache".to_string());
+    ghr_cli::run(&cmd, &words).unwrap()
+}
+
+#[test]
+fn repeated_lines_answer_from_the_render_memo_byte_identically() {
+    // Render variants share a request id but not a body: the memo is
+    // keyed by (id, variant), so each variant keeps its own body.
+    let lines = [
+        "table1",
+        "table1 --compare",
+        "fig1 c2",
+        "fig1 c2 --csv",
+        "fig1 c2 --plot",
+        "dot c1",
+        "gemv c3 --cols 2048",
+    ];
+    let engine = Engine::new(MachineConfig::gh200(), 2);
+    let input: String = lines.iter().map(|l| format!("{l}\n{l}\n{l}\n")).collect();
+    let frames = serve_frames(&engine, &input);
+    assert_eq!(frames.len(), 3 * lines.len());
+    for (line, sent) in lines.iter().zip(frames.chunks(3)) {
+        let reference = one_shot(line);
+        for (i, f) in sent.iter().enumerate() {
+            assert_eq!(f.status, "ok", "{line}: {f:?}");
+            assert_eq!(f.body, reference, "{line}: answer {} differs", i + 1);
+            assert_eq!(f.id, sent[0].id, "{line}");
+        }
+        for f in &sent[1..] {
+            assert!(f.evals == 0 && f.cached, "{line}: {f:?}");
+        }
+    }
+    let body = |line: &str| {
+        let i = lines.iter().position(|l| *l == line).unwrap();
+        (&frames[3 * i].id, &frames[3 * i].body)
+    };
+    for (a, b) in [
+        ("table1", "table1 --compare"),
+        ("fig1 c2", "fig1 c2 --csv"),
+        ("fig1 c2", "fig1 c2 --plot"),
+        ("fig1 c2 --csv", "fig1 c2 --plot"),
+    ] {
+        assert_eq!(body(a).0, body(b).0, "{a} and {b} share an id");
+        assert_ne!(body(a).1, body(b).1, "{a} and {b} render differently");
+    }
+    // Every line reached the engine; all but the four cold ids (table1,
+    // fig1 c2, dot c1, gemv c3) were response-cache hits.
+    let stats = engine.stats();
+    assert_eq!(stats.requests, 21, "{stats:?}");
+    assert_eq!(stats.response_hits, 17, "{stats:?}");
+}
+
+#[test]
+fn each_engine_renders_its_own_machine() {
+    // The memo belongs to one engine: two engines for two machines
+    // answer the same line (same id) with their own bodies, however
+    // their sessions interleave.
+    let gh200 = Engine::new(MachineConfig::gh200(), 1);
+    let pcie = Engine::new(MachineConfig::x86_pcie(), 1);
+    let thrice = "table1\ntable1\ntable1\n";
+    let a = serve_frames(&gh200, thrice);
+    let b = serve_frames(&pcie, thrice);
+    let a_again = serve_frames(&gh200, thrice);
+    assert_eq!(a[0].id, b[0].id, "one request, one id");
+    assert_ne!(a[0].body, b[0].body, "the machines differ");
+    for f in a.iter().chain(&a_again) {
+        assert_eq!(f.body, a[0].body, "gh200: {f:?}");
+    }
+    for f in &b {
+        assert_eq!(f.body, b[0].body, "x86_pcie: {f:?}");
+    }
+}
+
+#[test]
+fn arrays_larger_than_the_machine_get_an_error_frame_and_the_session_survives() {
+    let oversized = "dot c1 --m 100000000000000";
+    let engine = Engine::new(MachineConfig::gh200(), 2);
+    let frames = serve_frames(&engine, &format!("{oversized}\ntable1\n{oversized}\n"));
+    assert_eq!(frames.len(), 3);
+    for f in [&frames[0], &frames[2]] {
+        assert_eq!(f.status, "error", "{f:?}");
+        assert!(
+            f.body.contains("array larger than the machine"),
+            "{}",
+            f.body
+        );
+    }
+    assert_eq!(frames[1].status, "ok", "{:?}", frames[1]);
+    assert!(frames[1].body.contains("Table 1"), "{}", frames[1].body);
+    let stats = engine.stats();
+    assert_eq!(stats.evaluated, 8, "only table1 evaluated: {stats:?}");
+
+    // The one-shot command refuses it the same way, with exit status 2.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ghr"))
+        .args(oversized.split_whitespace())
+        .arg("--no-cache")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("array larger than the machine"), "{stderr}");
+}
+
 #[test]
 fn protocol_fuzz_malformed_lines_are_rejected_and_the_session_survives() {
     // Feed the framing layer every malformed shape it documents: a CRLF

@@ -22,7 +22,9 @@
 //! [`Engine::run`] ties them together and memoizes whole responses by
 //! [`Request::id`](crate::request::Request::id) — a repeated identical
 //! request (the `ghr serve` steady state) is answered with zero
-//! re-planning. Underneath sit:
+//! re-planning — and [`Engine::render_once`] memoizes the body a front
+//! end renders from a repeated response, so a repeated serve line skips
+//! the renderer too. Underneath sit:
 //!
 //! * a **result cache** keyed by [`WorkItem`] — the resolved
 //!   [`TargetRegion`] geometry × element count/types × supply
@@ -373,8 +375,9 @@ pub struct EngineStats {
     /// Grid points refined sweeps skipped (full grid minus evaluated) —
     /// reported so an adaptively truncated grid is never silent.
     pub sweep_skipped: u64,
-    /// Shallow bytes held by the four cache maps (response, point,
-    /// series, co-run point): entries × `size_of::<(K, V)>()`, summed.
+    /// Shallow bytes held by the five cache maps (response, rendered
+    /// body, point, series, co-run point): entries × `size_of::<(K, V)>()`,
+    /// summed.
     /// Publication is first-write-wins, so this is bounded by distinct
     /// published keys, not by request traffic. The name predates the
     /// maps; the benchmark harness reads it under this name.
@@ -444,6 +447,7 @@ pub struct Engine {
     series: CacheMap<CorunConfig, Arc<CorunSeries>>,
     corun_pts: CacheMap<(CorunConfig, u32), CorunPoint>,
     responses: CacheMap<u64, Arc<Response>, BuildId>,
+    bodies: CacheMap<(u64, u32), Arc<str>>,
     request_flights: SingleFlight<u64>,
     item_flights: SingleFlight<WorkItem>,
     inflight_claims: AtomicU64,
@@ -496,6 +500,7 @@ impl Engine {
             series: CacheMap::new(),
             corun_pts: CacheMap::new(),
             responses: CacheMap::new(),
+            bodies: CacheMap::new(),
             request_flights: SingleFlight::new(),
             item_flights: SingleFlight::new(),
             inflight_claims: AtomicU64::new(0),
@@ -570,6 +575,7 @@ impl Engine {
             sweep_evaluated: self.sweep_evaluated.load(Ordering::Relaxed),
             sweep_skipped: self.sweep_skipped.load(Ordering::Relaxed),
             replica_log_bytes: self.responses.bytes()
+                + self.bodies.bytes()
                 + self.points.bytes()
                 + self.series.bytes()
                 + self.corun_pts.bytes(),
@@ -654,7 +660,7 @@ impl Engine {
     /// request-id flight; duplicates arriving meanwhile wait for it and
     /// re-probe the response the leader published *before* releasing.
     pub fn respond_with_id(&self, request: &Request, id: u64) -> Result<Responded> {
-        request.validate()?;
+        request.validate(&self.machine)?;
         self.requests.fetch_add(1, Ordering::Relaxed);
         if let Some(response) = self.responses.probe(&id) {
             return Ok(self.warm_hit(response, false));
@@ -679,6 +685,33 @@ impl Engine {
                 .load(Ordering::Relaxed)
                 .saturating_sub(evals_before),
         })
+    }
+
+    /// The body a front end renders from `responded` under its render
+    /// `variant` — a packing of the command and every switch its renderer
+    /// reads. `id` must be the id `responded` was asked under (as for
+    /// [`Engine::respond_with_id`]). Memoized per `(id, variant)`: a
+    /// published body is returned without calling `render`.
+    ///
+    /// A body is published only when `responded` came from the response
+    /// cache, the id's second touch, so a one-off id costs the memo
+    /// nothing. Fresh and coalesced answers render without publishing.
+    pub fn render_once<E>(
+        &self,
+        id: u64,
+        variant: u32,
+        responded: &Responded,
+        render: impl FnOnce(&Response) -> std::result::Result<String, E>,
+    ) -> std::result::Result<Arc<str>, E> {
+        let key = (id, variant);
+        if let Some(body) = self.bodies.probe(&key) {
+            return Ok(body);
+        }
+        let body: Arc<str> = render(&responded.response)?.into();
+        if responded.source == ResponseSource::ResponseCache {
+            self.bodies.publish(key, Arc::clone(&body));
+        }
+        Ok(body)
     }
 
     /// Plan and execute one cold request, publishing the assembled
@@ -1735,6 +1768,49 @@ mod tests {
         assert_eq!(map.probe(&7), Some(1), "a duplicate keeps the first value");
         assert!(map.contains(&7) && !map.contains(&8));
         assert_eq!(map.bytes(), std::mem::size_of::<(u64, u32)>() as u64);
+    }
+
+    #[test]
+    fn a_body_is_published_on_the_first_response_cache_hit_only() {
+        let e = engine(1);
+        let (request, id) = (Request::Table1, Request::Table1.id().0);
+        let renders = std::cell::Cell::new(0);
+        let render = |r: &Response| {
+            renders.set(renders.get() + 1);
+            r.table1().map(|t| format!("{} rows", t.rows.len()))
+        };
+        let memo_len = || e.bodies.read().len();
+
+        let fresh = e.respond_with_id(&request, id).unwrap();
+        assert_eq!(fresh.source, ResponseSource::Fresh);
+        assert_eq!(&*e.render_once(id, 0, &fresh, render).unwrap(), "4 rows");
+        assert_eq!(memo_len(), 0, "a fresh answer publishes nothing");
+        let coalesced = Responded {
+            source: ResponseSource::Coalesced,
+            ..fresh.clone()
+        };
+        e.render_once(id, 0, &coalesced, render).unwrap();
+        assert_eq!(memo_len(), 0, "a coalesced answer publishes nothing");
+
+        let hit = e.respond_with_id(&request, id).unwrap();
+        assert_eq!(hit.source, ResponseSource::ResponseCache);
+        let before = e.stats().replica_log_bytes;
+        let body = e.render_once(id, 0, &hit, render).unwrap();
+        assert_eq!(memo_len(), 1, "the first hit publishes one entry");
+        assert_eq!(
+            e.stats().replica_log_bytes - before,
+            std::mem::size_of::<((u64, u32), Arc<str>)>() as u64,
+            "cache_bytes counts the entry"
+        );
+        assert_eq!(renders.get(), 3);
+
+        // A published body answers without the renderer, shared.
+        let again = e.render_once(id, 0, &hit, render).unwrap();
+        assert!(Arc::ptr_eq(&again, &body));
+        assert_eq!((renders.get(), memo_len()), (3, 1));
+        // Another variant of the same id renders and publishes its own.
+        e.render_once(id, 1, &hit, render).unwrap();
+        assert_eq!((renders.get(), memo_len()), (4, 2));
     }
 
     #[test]

@@ -874,7 +874,7 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 32, "catalog ids must be distinct");
         for r in &catalog {
-            r.validate().unwrap();
+            r.validate(&MachineConfig::gh200()).unwrap();
         }
     }
 
@@ -893,7 +893,7 @@ mod tests {
             );
         }
         for (r, _) in &catalog {
-            r.validate().unwrap();
+            r.validate(&MachineConfig::gh200()).unwrap();
         }
     }
 

@@ -239,7 +239,7 @@ impl<'e> Planner<'e> {
     /// fig3) are planned once.
     pub fn plan_many(&self, requests: &[Request]) -> Result<Plan> {
         for r in requests {
-            r.validate()?;
+            r.validate(self.engine.machine())?;
         }
         let mut lowering = Lowering {
             engine: self.engine,

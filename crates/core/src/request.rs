@@ -25,7 +25,8 @@ use crate::study::CorunStudy;
 use crate::sweep::{GpuSweep, SweepMode, SweepResult};
 use crate::table1::Table1;
 use crate::whatif::WhatIfStudy;
-use ghr_types::{GhrError, RequestId, Result, WorkloadKind};
+use ghr_machine::MachineConfig;
+use ghr_types::{Bytes, GhrError, KernelDescriptor, RequestId, Result, WorkloadKind};
 
 /// A declarative description of one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +123,63 @@ impl Request {
         Some((kind, case, workload_m(kind, case, m)))
     }
 
-    /// Reject structurally empty requests before planning: an empty grid
-    /// would plan (and execute, and cache) successfully but can assemble
-    /// no response.
-    pub fn validate(&self) -> Result<()> {
+    /// Bytes of the largest input array the request puts in memory at
+    /// once (saturating; 0 for the fixed paper-scale requests): a
+    /// workload's input streams, a sweep's reduction array, or the
+    /// biggest of its co-run arrays. Element counts resolve as
+    /// [`autotune_sweep`] and the study's configs resolve them, without
+    /// building either: this runs before every warm response probe.
+    fn input_bytes(&self) -> u64 {
+        let array = |case: Case, m: u64| m.saturating_mul(case.elem().size_bytes());
+        match self {
+            Request::Sweep { sweep, .. } => array(sweep.case, sweep.m),
+            Request::Autotune { cases, m } => cases
+                .iter()
+                .map(|&case| array(case, case.m_scaled(m.unwrap_or(case.m_paper()))))
+                .max()
+                .unwrap_or(0),
+            Request::Corun { configs } => configs
+                .iter()
+                .map(|cfg| array(cfg.case, cfg.m))
+                .max()
+                .unwrap_or(0),
+            Request::Study { m, .. } => Case::ALL
+                .into_iter()
+                .map(|case| array(case, m.map_or(case.m_paper(), |m| case.m_scaled(m))))
+                .max()
+                .unwrap_or(0),
+            Request::Dot { .. } | Request::Scan { .. } | Request::Gemv { .. } => {
+                let (kind, case, m) = self.workload_parts().expect("a workload request");
+                let desc = KernelDescriptor::for_kind(kind, case.elem(), case.acc());
+                m.saturating_mul(desc.elem.size_bytes())
+                    .saturating_mul(u64::from(desc.input_streams))
+            }
+            Request::Table1 | Request::WhatIf => 0,
+        }
+    }
+
+    /// Reject a request before planning: a structurally empty one (an
+    /// empty grid would plan, execute and cache successfully but can
+    /// assemble no response), or one whose input is larger than the
+    /// memory of the machine it would run on (CPU memory plus HBM) — the
+    /// real machine could not allocate it, and the simulator would try.
+    pub fn validate(&self, machine: &MachineConfig) -> Result<()> {
+        let (cpu, hbm) = (machine.cpu.mem_capacity, machine.gpu.hbm_capacity);
+        let capacity = cpu.0.saturating_add(hbm.0);
+        let bytes = self.input_bytes();
+        if bytes > capacity {
+            return Err(GhrError::invalid(
+                "element count",
+                format!(
+                    "array larger than the machine: {} reads {bytes} bytes ({}), more than \
+                     its {capacity} bytes ({} CPU memory + {} HBM)",
+                    self.label(),
+                    Bytes(bytes),
+                    cpu,
+                    hbm,
+                ),
+            ));
+        }
         let empty = |what: &str| Err(GhrError::bad_request(format!("{what} in request")));
         match self {
             Request::Sweep { sweep, .. } => {
@@ -362,12 +416,13 @@ mod tests {
 
     #[test]
     fn empty_requests_are_rejected() {
-        assert!(Request::Corun { configs: vec![] }.validate().is_err());
+        let gh200 = MachineConfig::gh200();
+        assert!(Request::Corun { configs: vec![] }.validate(&gh200).is_err());
         assert!(Request::Autotune {
             cases: vec![],
             m: None
         }
-        .validate()
+        .validate(&gh200)
         .is_err());
         let mut sweep = GpuSweep::paper(Case::C1);
         sweep.vs.clear();
@@ -375,10 +430,91 @@ mod tests {
             sweep,
             mode: SweepMode::Exhaustive
         }
-        .validate()
+        .validate(&gh200)
         .is_err());
-        assert!(Request::Table1.validate().is_ok());
-        assert!(Request::fig1(Case::C3).validate().is_ok());
+        assert!(Request::Table1.validate(&gh200).is_ok());
+        assert!(Request::fig1(Case::C3).validate(&gh200).is_ok());
+    }
+
+    #[test]
+    fn arrays_larger_than_the_machine_are_rejected() {
+        let gh200 = MachineConfig::gh200();
+        // 480 GiB of LPDDR5X plus 96 GiB of HBM: a dot of two f32
+        // streams fits at 72 Gi elements and not one element more.
+        let fits = (480 + 96) * (1u64 << 30) / 8;
+        let dot = |m| Request::Dot {
+            case: Case::C3,
+            m: Some(m),
+        };
+        assert!(dot(fits).validate(&gh200).is_ok());
+        let err = dot(fits + 1).validate(&gh200).unwrap_err();
+        assert!(matches!(err, GhrError::InvalidConfig { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains("array larger than the machine"),
+            "{err}"
+        );
+        // Every request that carries an element count is checked,
+        // overflowing counts included.
+        let huge = Some(u64::MAX);
+        let mut corun = corun_config(Case::C1, AllocSite::A2, true, false);
+        corun.m = u64::MAX / 2;
+        for request in [
+            dot(u64::MAX),
+            Request::Scan {
+                case: Case::C1,
+                m: huge,
+            },
+            Request::Gemv {
+                case: Case::C4,
+                cols: 1,
+                m: huge,
+            },
+            Request::Study {
+                m: huge,
+                n_reps: None,
+            },
+            Request::Corun {
+                configs: vec![corun],
+            },
+            Request::Autotune {
+                cases: vec![Case::C2],
+                m: huge,
+            },
+        ] {
+            assert!(request.validate(&gh200).is_err(), "{}", request.label());
+        }
+        // The paper-scale requests fit.
+        for request in [
+            Request::Table1,
+            Request::WhatIf,
+            Request::dot(Case::C2),
+            Request::speedup_fig(AllocSite::A1),
+            Request::autotune_all(),
+        ] {
+            assert!(request.validate(&gh200).is_ok(), "{}", request.label());
+        }
+    }
+
+    #[test]
+    fn input_bytes_matches_the_arrays_the_request_builds() {
+        let bytes = |case: Case, m: u64| m * case.elem().size_bytes();
+        for m in [None, Some(1_000_003), Some(1 << 30)] {
+            let study = crate::study::study_configs(m, None)
+                .iter()
+                .map(|cfg| bytes(cfg.case, cfg.m))
+                .max();
+            let request = Request::Study { m, n_reps: None };
+            assert_eq!(Some(request.input_bytes()), study, "{m:?}");
+            let tuned = Case::ALL
+                .into_iter()
+                .map(|case| bytes(case, autotune_sweep(case, m).m))
+                .max();
+            let request = Request::Autotune {
+                cases: Case::ALL.to_vec(),
+                m,
+            };
+            assert_eq!(Some(request.input_bytes()), tuned, "{m:?}");
+        }
     }
 
     #[test]

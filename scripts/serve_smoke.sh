@@ -1,9 +1,13 @@
 #!/usr/bin/env sh
 # Serve-loop smoke test, two phases:
-#   1. sequential: start `ghr serve`, feed three requests (one a
-#      duplicate) over a pipe, and require the warm duplicate to be
-#      answered from the response cache with 0 evaluations — both in its
-#      frame header and in the session's --stats-json object on stderr.
+#   1. sequential: start `ghr serve` and feed it, over a pipe, table1,
+#      whatif, table1 --compare, an array larger than the machine, and
+#      table1 twice more. Require the --compare variant to share table1's
+#      id but not its body, the oversized line to get an error frame while
+#      the server keeps answering, and both later table1 frames to be
+#      answered from the response cache with 0 evaluations and the first
+#      frame's exact body (the render memo) — in the frame headers and in
+#      the session's --stats-json object on stderr.
 #   2. concurrent: start `ghr serve --socket --sessions 4`, hammer it
 #      with four background clients sending overlapping request ids,
 #      require warm duplicates to report evals=0 and byte-identical
@@ -23,58 +27,82 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 export GHR_CACHE_DIR="$WORK/cache"
 
-echo "==> serve session: table1, whatif, table1 (duplicate), quit"
-printf 'table1\nwhatif\ntable1\nquit\n' \
+OVERSIZED='dot c1 --m 100000000000000'
+echo "==> serve session: table1, whatif, table1 --compare, $OVERSIZED, table1 x2, quit"
+printf 'table1\nwhatif\ntable1 --compare\n%s\ntable1\ntable1\nquit\n' "$OVERSIZED" \
     | "$GHR" serve --stats-json --threads 2 > "$WORK/out" 2> "$WORK/err"
 
 frames=$(grep -c '^ghr-response ' "$WORK/out")
-if [ "$frames" -ne 3 ]; then
-    echo "FAIL: expected 3 response frames, got $frames" >&2
+if [ "$frames" -ne 6 ]; then
+    echo "FAIL: expected 6 response frames, got $frames" >&2
     cat "$WORK/out" >&2
     exit 1
 fi
 grep '^ghr-response ' "$WORK/out"
 
-first=$(grep '^ghr-response ' "$WORK/out" | sed -n 1p)
-third=$(grep '^ghr-response ' "$WORK/out" | sed -n 3p)
+header() { grep '^ghr-response ' "$WORK/out" | sed -n "$1p"; }
+id_of() { echo "$1" | sed 's/.* id=\([0-9a-f-]*\) .*/\1/'; }
 
+first=$(header 1)
 case "$first" in
     *" status=ok "*) ;;
     *) echo "FAIL: cold request did not succeed: $first" >&2; exit 1 ;;
 esac
-case "$third" in
-    *" evals=0 "*) ;;
-    *) echo "FAIL: warm duplicate re-evaluated: $third" >&2; exit 1 ;;
-esac
-case "$third" in
-    *" cached=yes"*) ;;
-    *) echo "FAIL: warm duplicate not served from the response cache: $third" >&2; exit 1 ;;
-esac
-if [ "${first##* id=}" = "$first" ] || \
-   [ "$(echo "$first" | sed 's/.* id=\([0-9a-f]*\).*/\1/')" != \
-     "$(echo "$third" | sed 's/.* id=\([0-9a-f]*\).*/\1/')" ]; then
-    echo "FAIL: duplicate request ids differ" >&2
-    exit 1
-fi
 
-# The duplicate bodies must be byte-identical: split the frames apart and
-# compare the first and third bodies.
+# Split the frames apart: body N is frame N's body.
 awk '/^ghr-response /{n++; next} /^ghr-end$/{next} {print > sprintf("'"$WORK"'/body%d", n)}' "$WORK/out"
-if ! cmp -s "$WORK/body1" "$WORK/body3"; then
-    echo "FAIL: duplicate response bodies differ" >&2
+
+compare=$(header 3)
+if [ "$(id_of "$compare")" != "$(id_of "$first")" ]; then
+    echo "FAIL: table1 --compare does not share table1's id: $compare" >&2
+    exit 1
+fi
+if cmp -s "$WORK/body1" "$WORK/body3"; then
+    echo "FAIL: table1 --compare rendered table1's body" >&2
     exit 1
 fi
 
-echo "==> --stats-json on stderr records the response hit"
+oversized=$(header 4)
+case "$oversized" in
+    *" status=error "*) ;;
+    *) echo "FAIL: the oversized array was not refused: $oversized" >&2; exit 1 ;;
+esac
+if ! grep -q 'array larger than the machine' "$WORK/body4"; then
+    echo "FAIL: the oversized array's error frame does not name the reason" >&2
+    cat "$WORK/body4" >&2
+    exit 1
+fi
+
+# Both repeats come from the response cache and the render memo: no
+# evaluation, the same id, and the first frame's exact body.
+for n in 5 6; do
+    warm=$(header "$n")
+    case "$warm" in
+        *" status=ok "*" evals=0 cached=yes"*) ;;
+        *) echo "FAIL: table1 repeat $n was not a warm hit: $warm" >&2; exit 1 ;;
+    esac
+    if [ "$(id_of "$warm")" != "$(id_of "$first")" ]; then
+        echo "FAIL: table1 repeat $n changed id: $warm" >&2
+        exit 1
+    fi
+    if ! cmp -s "$WORK/body1" "$WORK/body$n"; then
+        echo "FAIL: table1 repeat $n body differs from the first" >&2
+        exit 1
+    fi
+done
+
+echo "==> --stats-json on stderr records the response hits"
 json=$(grep '^{' "$WORK/err")
 echo "$json"
+# The oversized line is refused before it reaches the engine's counters;
+# the other five are requests, three of them response-cache hits.
 case "$json" in
-    *'"requests":3'*) ;;
-    *) echo "FAIL: stats JSON does not show 3 requests" >&2; exit 1 ;;
+    *'"requests":5,'*) ;;
+    *) echo "FAIL: stats JSON does not show 5 requests" >&2; exit 1 ;;
 esac
 case "$json" in
-    *'"response_hits":1'*) ;;
-    *) echo "FAIL: stats JSON does not show the response-cache hit" >&2; exit 1 ;;
+    *'"response_hits":3,'*) ;;
+    *) echo "FAIL: stats JSON does not show the 3 response-cache hits" >&2; exit 1 ;;
 esac
 case "$json" in
     *'"stages":['*'"name":"assemble"'*) ;;

@@ -9,17 +9,25 @@
 //! and renders the throughput, tail-latency, and hot-path counter
 //! deltas per phase. Phases present in only one file render with `-`
 //! instead of silently disappearing, so a report that *lost* a phase
-//! (e.g. a run without `warm_recombine`) is visible in the diff. Keys
-//! outside the phases are ignored, so older reports that carried a
-//! top-level locked-cache speedup scalar still diff against current
-//! ones.
+//! (e.g. a run without `warm_recombine`) is visible in the diff. A phase
+//! of fewer than 1000 requests on either side keeps its p99 values but
+//! shows `-` as the p99 delta. Keys outside the phases are ignored, so
+//! older reports that carried a top-level locked-cache speedup scalar
+//! still diff against current ones.
 
 use ghr_core::report::Table;
 use ghr_types::Json;
 use std::fmt::Write as _;
 
+/// Fewest requests a phase needs for its p99 delta to mean anything:
+/// below it the p99 is one of the phase's few slowest samples (of the
+/// in-process phases, `cold` times 16 requests and `warm_recombine` 8,
+/// so their p99 is their maximum).
+const P99_MIN_REQUESTS: f64 = 1000.0;
+
 /// One phase's numbers as pulled out of a report file.
 struct PhaseNums {
+    requests: Option<f64>,
     throughput_rps: Option<f64>,
     p50_ms: Option<f64>,
     p99_ms: Option<f64>,
@@ -51,6 +59,7 @@ fn load(path: &str) -> Result<BenchFile, String> {
             (
                 name,
                 PhaseNums {
+                    requests: num(&["requests"]),
                     throughput_rps: num(&["throughput_rps"]),
                     p50_ms: num(&["latency_ms", "p50"]),
                     p99_ms: num(&["latency_ms", "p99"]),
@@ -120,19 +129,24 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
     }
     out.push('\n');
 
+    // Each metric with whether its delta needs P99_MIN_REQUESTS.
     type Pick = fn(&PhaseNums) -> Option<f64>;
-    let metrics: [(&str, Pick); 4] = [
-        ("rps", |p| p.throughput_rps),
-        ("p50 ms", |p| p.p50_ms),
-        ("p99 ms", |p| p.p99_ms),
-        ("evaluated", |p| p.evaluated),
+    let metrics: [(&str, Pick, bool); 4] = [
+        ("rps", |p| p.throughput_rps, false),
+        ("p50 ms", |p| p.p50_ms, false),
+        ("p99 ms", |p| p.p99_ms, true),
+        ("evaluated", |p| p.evaluated, false),
     ];
+    let small = |p: Option<&PhaseNums>| {
+        p.and_then(|p| p.requests)
+            .is_some_and(|n| n < P99_MIN_REQUESTS)
+    };
     let mut t = Table::new(["phase", "metric", "baseline", "candidate", "delta"]);
     for name in &phase_names {
         let base = find(baseline, name).map(|i| &baseline.phases[i].1);
         for file in candidates {
             let cand = find(file, name).map(|i| &file.phases[i].1);
-            for (label, pick) in &metrics {
+            for (label, pick, tail) in &metrics {
                 let b = base.and_then(pick);
                 let c = cand.and_then(pick);
                 // Skip metrics absent on both sides (e.g. hot_path on
@@ -140,12 +154,17 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
                 if b.is_none() && c.is_none() {
                     continue;
                 }
+                let delta = if *tail && (small(base) || small(cand)) {
+                    "-".to_string()
+                } else {
+                    fmt_delta(b, c)
+                };
                 t.row([
                     name.to_string(),
                     label.to_string(),
                     fmt_num(b),
                     fmt_num(c),
-                    fmt_delta(b, c),
+                    delta,
                 ]);
             }
         }
@@ -208,6 +227,52 @@ mod tests {
         assert!(out.contains("+100.0%"), "rps doubled: {out}");
         // The candidate-only phase still renders, with `-` baselines.
         assert!(out.contains("warm_recombine"), "{out}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn small_phases_show_no_p99_delta() {
+        let dir = std::env::temp_dir().join(format!("ghr-benchdiff-small-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let with_requests = |rps: f64, requests: u32| {
+            report(rps, true)
+                .replacen(
+                    "\"name\": \"warm\",",
+                    "\"name\": \"warm\", \"requests\": 50000,",
+                    1,
+                )
+                .replacen(
+                    "\"name\": \"warm_recombine\",",
+                    &format!("\"name\": \"warm_recombine\", \"requests\": {requests},"),
+                    1,
+                )
+        };
+        // The p99 row's cells: phase, metric, baseline, candidate, delta.
+        let p99 = |out: &str, phase: &str| -> Vec<String> {
+            let row = out
+                .lines()
+                .find(|l| l.starts_with(&format!("| {phase} ")) && l.contains("p99 ms"))
+                .unwrap_or_else(|| panic!("no {phase} p99 row: {out}"));
+            row.split('|')
+                .map(|cell| cell.trim().to_string())
+                .filter(|cell| !cell.is_empty())
+                .collect()
+        };
+        let base = write_report(&dir, "base.json", &with_requests(1000.0, 8));
+        let cand = write_report(&dir, "cand.json", &with_requests(2000.0, 8));
+        let out = cmd_bench_diff(&[base.clone(), cand]).unwrap();
+        // The 8-request phase keeps its absolute p99s but no delta; the
+        // 50 000-request phase keeps both.
+        assert_eq!(p99(&out, "warm_recombine")[2..], ["0.0200", "0.0200", "-"]);
+        assert_eq!(p99(&out, "warm")[4], "+0.0%", "{out}");
+        // One small side is enough.
+        let big = write_report(&dir, "big.json", &with_requests(2000.0, 5000));
+        let out = cmd_bench_diff(&[base, big.clone()]).unwrap();
+        assert_eq!(p99(&out, "warm_recombine")[4], "-", "{out}");
+        // Reports without a request count diff as before.
+        let plain = write_report(&dir, "plain.json", &report(1000.0, true));
+        let out = cmd_bench_diff(&[plain, big]).unwrap();
+        assert_eq!(p99(&out, "warm_recombine")[4], "+0.0%", "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

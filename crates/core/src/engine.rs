@@ -34,7 +34,12 @@
 //! * a **parallel fan driver** that spreads a stage's items across the
 //!   [`ghr_parallel::ThreadPool`] and reassembles results in deterministic
 //!   index order — tables are bit-identical to the serial path at any
-//!   thread count.
+//!   thread count. A workload's teams sweep (kernel points only) runs on
+//!   the caller's thread, where its seven points cost less than a
+//!   hand-off;
+//! * a **checksum memo**: the functional checksum of a workload answer
+//!   runs the real SIMD kernels once per (kind, case, backend) per
+//!   engine, in memory only (see `Engine::checksum`).
 //!
 //! Cache keys are *resolved geometry*, not driver-level names: Table 1's
 //! optimized row and the Fig. 1 sweep both key to
@@ -78,7 +83,7 @@ use crate::whatif::{self, RuntimeScenario, WhatIfRow, WhatIfStudy};
 use ghr_gpusim::GpuModel;
 use ghr_machine::MachineConfig;
 use ghr_omp::{OmpRuntime, TargetRegion};
-use ghr_parallel::ThreadPool;
+use ghr_parallel::{Backend, ThreadPool};
 use ghr_types::{Bandwidth, DType, GhrError, KernelDescriptor, Result, StageTiming, WorkloadKind};
 
 /// FNV-1a, used for the machine fingerprint and for the structured-key
@@ -375,9 +380,9 @@ pub struct EngineStats {
     /// Grid points refined sweeps skipped (full grid minus evaluated) —
     /// reported so an adaptively truncated grid is never silent.
     pub sweep_skipped: u64,
-    /// Shallow bytes held by the five cache maps (response, rendered
-    /// body, point, series, co-run point): entries × `size_of::<(K, V)>()`,
-    /// summed.
+    /// Shallow bytes held by the six cache maps (response, rendered
+    /// body, point, series, co-run point, functional checksum): entries ×
+    /// `size_of::<(K, V)>()`, summed.
     /// Publication is first-write-wins, so this is bounded by distinct
     /// published keys, not by request traffic. The name predates the
     /// maps; the benchmark harness reads it under this name.
@@ -448,6 +453,7 @@ pub struct Engine {
     corun_pts: CacheMap<(CorunConfig, u32), CorunPoint>,
     responses: CacheMap<u64, Arc<Response>, BuildId>,
     bodies: CacheMap<(u64, u32), Arc<str>>,
+    checksums: CacheMap<(WorkloadKind, Case, Backend), f64>,
     request_flights: SingleFlight<u64>,
     item_flights: SingleFlight<WorkItem>,
     inflight_claims: AtomicU64,
@@ -501,6 +507,7 @@ impl Engine {
             corun_pts: CacheMap::new(),
             responses: CacheMap::new(),
             bodies: CacheMap::new(),
+            checksums: CacheMap::new(),
             request_flights: SingleFlight::new(),
             item_flights: SingleFlight::new(),
             inflight_claims: AtomicU64::new(0),
@@ -578,7 +585,8 @@ impl Engine {
                 + self.bodies.bytes()
                 + self.points.bytes()
                 + self.series.bytes()
-                + self.corun_pts.bytes(),
+                + self.corun_pts.bytes()
+                + self.checksums.bytes(),
             inflight_claims: self.inflight_claims.load(Ordering::Relaxed),
             inflight_joins: self.request_flights.joins.load(Ordering::Relaxed),
         }
@@ -802,7 +810,14 @@ impl Engine {
     }
 
     /// Fan a stage's items across the pool (see [`Engine::map_grid`]).
+    /// A stage of workload kernel points only (a `dot|scan|gemv` teams
+    /// sweep: seven analytic points of about 2 µs each) runs on the
+    /// caller's thread, where it costs less than handing the points to
+    /// the pool.
     pub(crate) fn map_items(&self, items: &[WorkItem]) -> Result<()> {
+        if items.iter().all(|i| matches!(i, WorkItem::Kernel { .. })) {
+            return items.iter().try_for_each(|i| self.eval_item(i));
+        }
         self.map_grid(items, |item| self.eval_item(item))?
             .into_iter()
             .collect()
@@ -945,7 +960,7 @@ impl Engine {
     /// Assemble one workload request's result from the warm point cache:
     /// the teams sweep (pure hits after the plan's fan stage), the CPU
     /// roofline over the same bytes, the simulated first-touch placement
-    /// and the functional checksum.
+    /// and the functional checksum (see [`Engine::checksum`]).
     pub(crate) fn workload_result(
         &self,
         kind: WorkloadKind,
@@ -969,7 +984,7 @@ impl Engine {
         let mut um = ghr_mem::UnifiedMemory::new(&self.machine);
         let placement =
             kernels::first_touch_placement(&mut um, desc.input_bytes(m), best_gbps, cpu_gbps);
-        let checksum = kernels::functional_checksum(kind, case);
+        let checksum = self.checksum(kind, case);
         Ok(WorkloadResult {
             kind,
             case,
@@ -981,6 +996,25 @@ impl Engine {
             placement,
             checksum,
         })
+    }
+
+    /// The functional checksum of `kind` and `case` on the active SIMD
+    /// backend, run once per (functional kind, case, backend) and kept in
+    /// memory: its input is fixed at [`kernels::FUNC_M`] elements, so the
+    /// value never depends on the request's element count. It is never
+    /// written to the persistent store, so every process runs the real
+    /// kernels once per key and a broken vector path still shows in the
+    /// output. No single flight: a race runs one key's kernels twice and
+    /// the first value published wins (both are the same bits).
+    fn checksum(&self, kind: WorkloadKind, case: Case) -> f64 {
+        let backend = Backend::active();
+        let key = (kernels::functional_kind(kind), case, backend);
+        if let Some(sum) = self.checksums.probe(&key) {
+            return sum;
+        }
+        let sum = kernels::checksum_on(kind, case, backend);
+        self.checksums.publish(key, sum);
+        sum
     }
 
     /// The paper's bandwidth metric for a spec at the paper's scale
@@ -1717,6 +1751,55 @@ mod tests {
         for t in e.stage_timings().iter().filter(|t| t.name == "assemble") {
             assert_eq!(t.evaluated, 0, "workload assembly must be pure hits");
         }
+    }
+
+    #[test]
+    fn checksums_run_once_per_functional_key_and_stay_out_of_the_store() {
+        let dir = std::env::temp_dir().join(format!("ghr-checksum-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = engine(2).with_store_dir(&dir);
+        let gemv = |cols| Request::Gemv {
+            case: Case::C1,
+            cols,
+            m: Some(1 << 22),
+        };
+        let requests = [
+            Request::Dot {
+                case: Case::C1,
+                m: Some(1 << 20),
+            },
+            Request::Dot {
+                case: Case::C1,
+                m: Some(1 << 22),
+            },
+            gemv(512),
+            gemv(65_536),
+            gemv(70_000),
+        ];
+        for request in &requests {
+            let r = e.respond(request).unwrap();
+            assert_eq!(r.source, ResponseSource::Fresh, "{request:?}");
+            let w = r.response.workload().unwrap();
+            assert_eq!(
+                w.checksum.to_bits(),
+                kernels::functional_checksum(w.kind, w.case).to_bits(),
+                "{request:?}"
+            );
+        }
+        // One entry per functional kind: both dots share one, and the
+        // two GEMVs at or above FUNC_M columns clamp to one.
+        assert_eq!(e.checksums.read().len(), 3);
+
+        e.flush_store().unwrap();
+        let text = std::fs::read_to_string(e.store().unwrap().path()).unwrap();
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), 7 * requests.len(), "one row per kernel point");
+        for row in rows {
+            assert!(row.starts_with("Kernel {"), "{row}");
+            assert!(!row.to_lowercase().contains("checksum"), "{row}");
+        }
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! [`WorkloadResult`]: the best GPU bandwidth, the CPU roofline over the
 //! same bytes moved, a first-touch placement decision simulated against
 //! the unified-memory page model, and a functional checksum computed with
-//! the real [`ghr_parallel::workloads`] kernels at a small scale (so SIMD
-//! regressions show up as a byte-diff in the CLI output, not just a test
-//! failure).
+//! the real [`ghr_parallel::workloads`] kernels at [`FUNC_M`] elements (so
+//! SIMD regressions show up as a byte-diff in the CLI output, not just a
+//! test failure).
+//!
+//! The checksum's input is fixed, so its value depends only on the
+//! [`functional_kind`], the case and the SIMD backend, never on the
+//! request's element count. One pass costs about 0.2 ms on 2 vCPUs
+//! (perfbench `kernels.checksum_us_p50`), more than the rest of a cold
+//! workload answer, so the engine runs it once per (kind, case, backend)
+//! and keeps the value in memory; [`functional_checksum`] itself stays
+//! unmemoized, so every process still runs the real kernels once per key.
 
 use crate::case::Case;
 use ghr_mem::{Residency, UnifiedMemory};
@@ -30,7 +38,9 @@ pub const WORKLOAD_TEAMS_AXIS: [u64; 7] = [1024, 2048, 4096, 8192, 16384, 32768,
 pub const GEMV_COLS_DEFAULT: u32 = 1024;
 
 /// Element count of the functional checksum pass — large enough to cross
-/// every SIMD kernel's unroll width many times, small enough to be free.
+/// every SIMD kernel's unroll width many times. A pass costs about 0.2 ms
+/// on 2 vCPUs, so the engine runs it once per (kind, case, backend)
+/// (see the module docs).
 pub const FUNC_M: u64 = 65_536;
 
 /// Resolve a workload request's element count: the case's paper scale by
@@ -149,21 +159,39 @@ pub fn first_touch_placement(
     placement
 }
 
+/// The kind the functional checksum actually runs: a GEMV row length
+/// clamped to the functional scale (so degenerate requests still checksum
+/// a real matrix), dot and scan unchanged. Two kinds with one functional
+/// kind have one checksum.
+pub fn functional_kind(kind: WorkloadKind) -> WorkloadKind {
+    match kind {
+        WorkloadKind::Gemv { cols } => WorkloadKind::Gemv {
+            cols: (cols as u64).clamp(1, FUNC_M) as u32,
+        },
+        WorkloadKind::Dot | WorkloadKind::Scan => kind,
+    }
+}
+
 /// Functional checksum of one workload at [`FUNC_M`] elements with the
 /// active SIMD backend — deterministic and backend-independent by the
 /// kernels' bit-identity contract, so a broken vector path changes the
 /// rendered output.
 pub fn functional_checksum(kind: WorkloadKind, case: Case) -> f64 {
+    checksum_on(kind, case, Backend::active())
+}
+
+/// [`functional_checksum`] on a named backend.
+pub(crate) fn checksum_on(kind: WorkloadKind, case: Case, backend: Backend) -> f64 {
+    let kind = functional_kind(kind);
     match case {
-        Case::C1 => checksum_t::<i32>(kind),
-        Case::C2 => checksum_t::<i8>(kind),
-        Case::C3 => checksum_t::<f32>(kind),
-        Case::C4 => checksum_t::<f64>(kind),
+        Case::C1 => checksum_t::<i32>(kind, backend),
+        Case::C2 => checksum_t::<i8>(kind, backend),
+        Case::C3 => checksum_t::<f32>(kind, backend),
+        Case::C4 => checksum_t::<f64>(kind, backend),
     }
 }
 
-fn checksum_t<T: Element>(kind: WorkloadKind) -> f64 {
-    let backend = Backend::active();
+fn checksum_t<T: Element>(kind: WorkloadKind, backend: Backend) -> f64 {
     let v = 8usize;
     let a: Vec<T> = (0..FUNC_M).map(T::from_index).collect();
     match kind {
@@ -178,9 +206,7 @@ fn checksum_t<T: Element>(kind: WorkloadKind) -> f64 {
             out.iter().fold(T::Acc::zero(), |s, &x| s + x).as_f64()
         }
         WorkloadKind::Gemv { cols } => {
-            // Clamp the row length to the functional scale so degenerate
-            // requests still checksum a real matrix.
-            let cols = (cols as u64).clamp(1, FUNC_M) as usize;
+            let cols = cols as usize;
             let rows = (FUNC_M as usize / cols).max(1);
             let matrix: Vec<T> = (0..(rows * cols) as u64).map(T::from_index).collect();
             let x: Vec<T> = (0..cols as u64)

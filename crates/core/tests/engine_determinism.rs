@@ -2,12 +2,14 @@
 //! drivers, and repeated experiments answered from the cache.
 
 use ghr_core::engine::Engine;
+use ghr_core::kernels::{self, WorkloadPoint, WorkloadResult, WORKLOAD_TEAMS_AXIS};
 use ghr_core::study::run_full_study_scaled;
 use ghr_core::sweep::GpuSweep;
 use ghr_core::table1::table1;
-use ghr_core::Case;
+use ghr_core::{Case, Request};
 use ghr_machine::MachineConfig;
-use ghr_omp::OmpRuntime;
+use ghr_omp::{OmpRuntime, TargetRegion};
+use ghr_types::{KernelDescriptor, WorkloadKind};
 
 fn machine() -> MachineConfig {
     MachineConfig::gh200()
@@ -164,5 +166,92 @@ fn engine_autotune_matches_serial_autotune() {
         assert_eq!(serial.teams_axis, ours.teams_axis, "{case}");
         assert_eq!(serial.v, ours.v, "{case}");
         assert_eq!(serial.gbps.to_bits(), ours.gbps.to_bits(), "{case}");
+    }
+}
+
+/// Workload element count: a whole number of default GEMV rows.
+const M_WORK: u64 = 1 << 20;
+
+/// dot, scan and GEMV (default row length) for every case.
+fn workload_requests() -> Vec<Request> {
+    let m = Some(M_WORK);
+    Case::ALL
+        .into_iter()
+        .flat_map(|case| {
+            [
+                Request::Dot { case, m },
+                Request::Scan { case, m },
+                Request::Gemv {
+                    case,
+                    cols: kernels::GEMV_COLS_DEFAULT,
+                    m,
+                },
+            ]
+        })
+        .collect()
+}
+
+/// The serial driver: every teams point priced in axis order on the
+/// caller's thread, then the roofline, placement and checksum.
+fn serial_workload(rt: &OmpRuntime, kind: WorkloadKind, case: Case, m: u64) -> WorkloadResult {
+    let desc = KernelDescriptor::for_kind(kind, case.elem(), case.acc());
+    let points: Vec<WorkloadPoint> = WORKLOAD_TEAMS_AXIS
+        .iter()
+        .map(|&teams| {
+            let region = TargetRegion::optimized(teams, case.v_optimized());
+            let timing = rt.time_target_kernel(&region, m, &desc, None).unwrap();
+            WorkloadPoint {
+                teams,
+                gbps: timing.effective_bw.as_gbps(),
+            }
+        })
+        .collect();
+    let best = points.iter().fold(
+        points[0],
+        |best, &p| if p.gbps > best.gbps { p } else { best },
+    );
+    let cpu_gbps = kernels::cpu_workload_gbps(rt, kind, case, m);
+    let mut um = ghr_mem::UnifiedMemory::new(&machine());
+    WorkloadResult {
+        kind,
+        case,
+        m,
+        best_teams: best.teams,
+        best_gbps: best.gbps,
+        cpu_gbps,
+        placement: kernels::first_touch_placement(
+            &mut um,
+            desc.input_bytes(m),
+            best.gbps,
+            cpu_gbps,
+        ),
+        checksum: kernels::functional_checksum(kind, case),
+        points,
+    }
+}
+
+#[test]
+fn workload_results_are_bit_identical_at_every_thread_count() {
+    let rt = OmpRuntime::new(machine());
+    let requests = workload_requests();
+    // Debug formatting round-trips every f64 exactly, so string equality
+    // means bit-identical numbers.
+    let reference: Vec<String> = requests
+        .iter()
+        .map(|r| {
+            let (kind, case, m) = r.workload_parts().unwrap();
+            format!("{:?}", serial_workload(&rt, kind, case, m))
+        })
+        .collect();
+    for threads in [1, 8] {
+        let e = Engine::new(machine(), threads);
+        for (request, want) in requests.iter().zip(&reference) {
+            let got = e.run(request).unwrap();
+            assert_eq!(
+                &format!("{:?}", got.workload().unwrap()),
+                want,
+                "{request:?} threads={threads}"
+            );
+        }
     }
 }

@@ -32,7 +32,7 @@
 use ghr_types::{DType, Element};
 
 /// A vector instruction set the kernels can target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Scalar fallback — the plain unrolled loop in [`crate::kernels`].
     Scalar,

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Serve-loop smoke test, two phases:
+# Serve-loop smoke test, three phases:
 #   1. sequential: start `ghr serve` and feed it, over a pipe, table1,
 #      whatif, table1 --compare, an array larger than the machine, and
 #      table1 twice more. Require the --compare variant to share table1's
@@ -8,7 +8,12 @@
 #      answered from the response cache with 0 evaluations and the first
 #      frame's exact body (the render memo) — in the frame headers and in
 #      the session's --stats-json object on stderr.
-#   2. concurrent: start `ghr serve --socket --sessions 4`, hammer it
+#   2. checksum witness: send two never-seen `dot c2` lines that differ
+#      only in --m through one session; both must evaluate (cached=no,
+#      evals>0) and carry the same functional checksum line.
+#      (scripts/workload_smoke.sh compares the checksums across SIMD
+#      backends.)
+#   3. concurrent: start `ghr serve --socket --sessions 4`, hammer it
 #      with four background clients sending overlapping request ids,
 #      require warm duplicates to report evals=0 and byte-identical
 #      bodies, then stop the server with SIGTERM and require a clean
@@ -108,6 +113,25 @@ case "$json" in
     *'"stages":['*'"name":"assemble"'*) ;;
     *) echo "FAIL: stats JSON lacks per-stage executor timings" >&2; exit 1 ;;
 esac
+
+WITNESS_A='dot c2 --m 4194304'
+WITNESS_B='dot c2 --m 4195328'
+echo "==> checksum witness: $WITNESS_A, $WITNESS_B through one session"
+printf '%s\n%s\nquit\n' "$WITNESS_A" "$WITNESS_B" \
+    | "$GHR" serve --no-cache --threads 2 > "$WORK/wit" 2> /dev/null
+grep '^ghr-response ' "$WORK/wit"
+if [ "$(grep -c '^ghr-response .* status=ok .* evals=[1-9][0-9]* cached=no$' "$WORK/wit")" -ne 2 ]; then
+    echo "FAIL: both witness lines must be fresh evaluations (cached=no, evals>0)" >&2
+    cat "$WORK/wit" >&2
+    exit 1
+fi
+grep '^functional checksum ' "$WORK/wit" > "$WORK/wit_sums"
+if [ "$(wc -l < "$WORK/wit_sums")" -ne 2 ] || [ "$(sort -u "$WORK/wit_sums" | wc -l)" -ne 1 ]; then
+    echo "FAIL: the witness lines' functional checksums differ or are missing" >&2
+    cat "$WORK/wit_sums" >&2
+    exit 1
+fi
+sed -n 1p "$WORK/wit_sums"
 
 echo "==> concurrent serve: 4 clients over a socket, overlapping ids"
 SOCK="$WORK/ghr.sock"

@@ -1,28 +1,29 @@
 //! `ghr bench diff` — compare committed `BENCH_*.json` artifacts.
 //!
-//! CI uploads `BENCH_loadgen.json` on every run and the repo pins one
-//! at the root; a perf change is only an argument when the two can be
+//! CI uploads the `ghr loadgen` reports `BENCH_router.json` and
+//! `BENCH_router_tcp.json` on every run and the repo pins both at the
+//! root; a perf change is only an argument when two reports can be
 //! compared mechanically. This subcommand reads two or more report
 //! files with the workspace's own std-only JSON reader
 //! ([`ghr_types::Json`]) — the first file is the baseline, every later
 //! file is a candidate — aligns their `phases` arrays by phase name,
-//! and renders the throughput, tail-latency, and hot-path counter
-//! deltas per phase. Phases present in only one file render with `-`
-//! instead of silently disappearing, so a report that *lost* a phase
-//! (e.g. a run without `warm_recombine`) is visible in the diff. A phase
-//! of fewer than 1000 requests on either side keeps its p99 values but
-//! shows `-` as the p99 delta. Keys outside the phases are ignored, so
-//! older reports that carried a top-level locked-cache speedup scalar
-//! still diff against current ones.
+//! and renders the throughput and latency deltas per phase. Phases
+//! present in only one file render with `-` instead of silently
+//! disappearing, so a report that *lost* a phase (e.g. a run without
+//! `overload`) is visible in the diff. A phase of fewer than 1000
+//! requests on either side keeps its p99 values but shows `-` as the p99
+//! delta. Keys the diff does not read are ignored, so older reports that
+//! carried a top-level locked-cache speedup scalar or per-phase engine
+//! counters still diff against current ones.
 
 use ghr_core::report::Table;
 use ghr_types::Json;
 use std::fmt::Write as _;
 
 /// Fewest requests a phase needs for its p99 delta to mean anything:
-/// below it the p99 is one of the phase's few slowest samples (of the
-/// in-process phases, `cold` times 16 requests and `warm_recombine` 8,
-/// so their p99 is their maximum).
+/// below it the p99 is one of the phase's few slowest samples (a `cold`
+/// phase times one request per catalog entry, so its p99 is its
+/// maximum).
 const P99_MIN_REQUESTS: f64 = 1000.0;
 
 /// One phase's numbers as pulled out of a report file.
@@ -31,7 +32,6 @@ struct PhaseNums {
     throughput_rps: Option<f64>,
     p50_ms: Option<f64>,
     p99_ms: Option<f64>,
-    evaluated: Option<f64>,
 }
 
 /// One parsed report: display label (the path, plus the report's own
@@ -63,7 +63,6 @@ fn load(path: &str) -> Result<BenchFile, String> {
                     throughput_rps: num(&["throughput_rps"]),
                     p50_ms: num(&["latency_ms", "p50"]),
                     p99_ms: num(&["latency_ms", "p99"]),
-                    evaluated: num(&["hot_path", "evaluated"]),
                 },
             )
         })
@@ -131,11 +130,10 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
 
     // Each metric with whether its delta needs P99_MIN_REQUESTS.
     type Pick = fn(&PhaseNums) -> Option<f64>;
-    let metrics: [(&str, Pick, bool); 4] = [
+    let metrics: [(&str, Pick, bool); 3] = [
         ("rps", |p| p.throughput_rps, false),
         ("p50 ms", |p| p.p50_ms, false),
         ("p99 ms", |p| p.p99_ms, true),
-        ("evaluated", |p| p.evaluated, false),
     ];
     let small = |p: Option<&PhaseNums>| {
         p.and_then(|p| p.requests)
@@ -149,8 +147,8 @@ pub fn cmd_bench_diff(rest: &[String]) -> Result<String, String> {
             for (label, pick, tail) in &metrics {
                 let b = base.and_then(pick);
                 let c = cand.and_then(pick);
-                // Skip metrics absent on both sides (e.g. hot_path on
-                // socket-mode reports) to keep the table readable.
+                // Skip metrics absent on both sides to keep the table
+                // readable.
                 if b.is_none() && c.is_none() {
                     continue;
                 }
@@ -203,14 +201,12 @@ mod tests {
     fn report(rps: f64, extra_phase: bool) -> String {
         let mut phases = format!(
             "{{\"name\": \"warm\", \"throughput_rps\": {rps}, \
-             \"latency_ms\": {{\"p50\": 0.001, \"p99\": 0.002}}, \
-             \"hot_path\": {{\"evaluated\": 0}}}}"
+             \"latency_ms\": {{\"p50\": 0.001, \"p99\": 0.002}}}}"
         );
         if extra_phase {
             phases.push_str(
-                ",\n    {\"name\": \"warm_recombine\", \"throughput_rps\": 1000, \
-                 \"latency_ms\": {\"p50\": 0.01, \"p99\": 0.02}, \
-                 \"hot_path\": {\"evaluated\": 0}}",
+                ",\n    {\"name\": \"overload\", \"throughput_rps\": 1000, \
+                 \"latency_ms\": {\"p50\": 0.01, \"p99\": 0.02}}",
             );
         }
         format!("{{\n  \"bench\": \"loadgen\",\n  \"phases\": [\n    {phases}\n  ]\n}}\n")
@@ -226,7 +222,7 @@ mod tests {
         assert!(out.contains("| phase"), "{out}");
         assert!(out.contains("+100.0%"), "rps doubled: {out}");
         // The candidate-only phase still renders, with `-` baselines.
-        assert!(out.contains("warm_recombine"), "{out}");
+        assert!(out.contains("overload"), "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -242,8 +238,8 @@ mod tests {
                     1,
                 )
                 .replacen(
-                    "\"name\": \"warm_recombine\",",
-                    &format!("\"name\": \"warm_recombine\", \"requests\": {requests},"),
+                    "\"name\": \"overload\",",
+                    &format!("\"name\": \"overload\", \"requests\": {requests},"),
                     1,
                 )
         };
@@ -263,16 +259,16 @@ mod tests {
         let out = cmd_bench_diff(&[base.clone(), cand]).unwrap();
         // The 8-request phase keeps its absolute p99s but no delta; the
         // 50 000-request phase keeps both.
-        assert_eq!(p99(&out, "warm_recombine")[2..], ["0.0200", "0.0200", "-"]);
+        assert_eq!(p99(&out, "overload")[2..], ["0.0200", "0.0200", "-"]);
         assert_eq!(p99(&out, "warm")[4], "+0.0%", "{out}");
         // One small side is enough.
         let big = write_report(&dir, "big.json", &with_requests(2000.0, 5000));
         let out = cmd_bench_diff(&[base, big.clone()]).unwrap();
-        assert_eq!(p99(&out, "warm_recombine")[4], "-", "{out}");
+        assert_eq!(p99(&out, "overload")[4], "-", "{out}");
         // Reports without a request count diff as before.
         let plain = write_report(&dir, "plain.json", &report(1000.0, true));
         let out = cmd_bench_diff(&[plain, big]).unwrap();
-        assert_eq!(p99(&out, "warm_recombine")[4], "+0.0%", "{out}");
+        assert_eq!(p99(&out, "overload")[4], "+0.0%", "{out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -287,11 +283,13 @@ mod tests {
             "  ],\n  \"warm_speedup_vs_locked\": 1.25\n}",
             1,
         );
-        // A report from the per-thread replica caches: its hot path also
-        // carries the retired lock and replica counters.
+        // A report from the in-process mode with the per-thread replica
+        // caches: its phases carry engine counters, among them the
+        // retired lock and replica counters.
         let replicas = report(1050.0, false).replacen(
-            "\"evaluated\": 0}",
-            "\"evaluated\": 0, \"warm_lock_acquisitions\": 0, \"replica_syncs\": 0, \
+            "\"p99\": 0.002}",
+            "\"p99\": 0.002}, \"hot_path\": {\"evaluated\": 0, \
+             \"warm_lock_acquisitions\": 0, \"replica_syncs\": 0, \
              \"replica_snapshot_hits\": 200, \"warm_locks\": {\"response\": 0, \
              \"point\": 0, \"series\": 0, \"corun\": 0}}",
             1,
@@ -304,6 +302,7 @@ mod tests {
         assert!(out.contains("+10.0%"), "warm rps still aligns: {out}");
         assert!(!out.contains("speedup"), "no speedup line: {out}");
         assert!(!out.contains("warm locks"), "no retired lock row: {out}");
+        assert!(!out.contains("evaluated"), "no engine counter row: {out}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

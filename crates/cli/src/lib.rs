@@ -18,7 +18,7 @@
 //! ghr plan <command|all>        dry-run: print the lowered work-item DAG
 //! ghr serve [--socket PATH]     concurrent request loop over one warm engine
 //! ghr client --socket PATH ...  send request lines to a serve endpoint
-//! ghr loadgen [--socket PATH]   drive load at the engine or a live server
+//! ghr loadgen --socket PATH     drive load at a live serve/router endpoint
 //! ghr cache <stats|clear|path>  inspect or drop the persistent result cache
 //! ```
 //!
@@ -123,15 +123,13 @@ client|loadgen|cache> [args]\n\
      per-worker forwarded/rejected/rerouted ledger at drain; `ghr client\n\
      [--socket PATH | --tcp HOST:PORT] [request...]` sends request lines to\n\
      a serve/router endpoint and prints the frames; `ghr loadgen\n\
-     [--socket PATH | --tcp HOST:PORT] [--requests N] [--conns N]\n\
+     (--socket PATH | --tcp HOST:PORT) [--requests N] [--conns N]\n\
      [--catalog N] [--zipf S] [--rate RPS] [--seed N] [--overload-conns N]\n\
-     [--failover-pid PID [--failover-after N]] [--out FILE|--no-out]` drives\n\
-     open/closed-loop load (zipf-distributed\n\
-     request ids over gpu-point/corun-series/corun-point/what-if/dot/scan/\n\
-     gemv classes) at\n\
-     the in-process engine or a live serve endpoint and reports per-phase and\n\
-     per-class throughput and p50/p95/p99 latency plus per-layer warm-lock\n\
-     counters (JSON to BENCH_loadgen.json by default); `ghr bench diff\n\
+     [--failover-pid PID [--failover-after N]] [--label L]\n\
+     [--out FILE|--no-out]` drives open/closed-loop load (zipf-distributed\n\
+     request ids) at a live serve/router endpoint and reports per-phase and\n\
+     per-class throughput and p50/p95/p99 latency (JSON to\n\
+     BENCH_loadgen.json by default); `ghr bench diff\n\
      BASELINE.json CANDIDATE.json [MORE...]` compares committed bench\n\
      reports phase by phase;\n\
      global flags: --threads N (or GHR_THREADS; engine worker threads),\n\
@@ -215,6 +213,9 @@ pub fn run(cmd: &str, rest: &[String]) -> Result<String, String> {
     }
     if cmd == "client" {
         return cmd_client(&rest);
+    }
+    if cmd == "loadgen" {
+        return loadgen::cmd_loadgen(&rest);
     }
     // The router has no engine of its own — it forwards to workers that
     // each hold one — so it runs before engine construction, like the
@@ -425,7 +426,6 @@ pub(crate) fn dispatch(engine: &Arc<Engine>, cmd: &str, rest: &[String]) -> Resu
         }
         "plan" => cmd_plan(engine, rest),
         "serve" => cmd_serve(engine, rest),
-        "loadgen" => crate::loadgen::cmd_loadgen(engine, rest),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -1228,9 +1228,71 @@ fn cmd_sensitivity() -> Result<String, String> {
         "Sensitivity of the Table-1 fit to each fitted parameter\n\
          (mean relative error after a +/-20% perturbation; shipped fit: 0.3%):\n\n{}\n\
          Large numbers = the paper's data pins the parameter; small numbers =\n\
-         the eight observations barely constrain it.\n",
-        t.to_markdown()
+         the eight observations barely constrain it.\n\n\
+         GPU-model ablation: C1 baseline / optimized GB/s with one mechanism\n\
+         removed or made ideal:\n\n{}",
+        t.to_markdown(),
+        gpu_ablation()?.to_markdown()
     ))
+}
+
+/// The Table-1 C1 pair under GPU-model parameters with one mechanism
+/// removed: which mechanism produces which feature of the paper's numbers.
+fn gpu_ablation() -> Result<Table, String> {
+    use ghr_gpusim::{GpuModel, GpuModelParams};
+    let spec = ghr_machine::GpuSpec::h100_sxm_gh200();
+    let fitted = GpuModelParams::default();
+    let rows = [
+        ("fitted (shipped defaults)", fitted),
+        (
+            "no per-team overhead",
+            GpuModelParams {
+                team_overhead_ns: 0.0,
+                combine_ns_i32: 0.0,
+                ..fitted
+            },
+        ),
+        (
+            "unlimited memory concurrency",
+            GpuModelParams {
+                mlp_factor: 10.0,
+                ..fitted
+            },
+        ),
+        (
+            "free loop overhead",
+            GpuModelParams {
+                instr_base: 0.0,
+                ..fitted
+            },
+        ),
+        (
+            "ideal HBM streaming",
+            GpuModelParams {
+                hbm_efficiency_4b: 1.0,
+                ..fitted
+            },
+        ),
+    ];
+    let mut t = Table::new(["ablation", "base GB/s", "opt GB/s", "speedup"]);
+    for (label, params) in rows {
+        let model = GpuModel::with_params(spec.clone(), params);
+        let gbps = |launch| {
+            model
+                .bandwidth(&launch)
+                .map(|b| b.as_gbps())
+                .map_err(|e| e.to_string())
+        };
+        let base = gbps(calibrate::baseline_launch(1))?;
+        let opt = gbps(calibrate::optimized_launch(1))?;
+        t.row([
+            label.to_string(),
+            format!("{base:.0}"),
+            format!("{opt:.0}"),
+            format!("{:.2}", opt / base),
+        ]);
+    }
+    Ok(t)
 }
 
 fn cmd_calibrate(sweeps: u32) -> Result<String, String> {

@@ -18,25 +18,7 @@
 //! * whatever the membership and alive mask, the routed owner is live.
 
 use ghr_cli::router::HashRing;
-
-/// SplitMix64: tiny, seedable, well-mixed — the standard std-only
-/// stand-in for a property-test RNG.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+use ghr_types::SplitMix64;
 
 const KEY_SAMPLES: usize = 10_000;
 /// Member indices live in `0..INDEX_SPACE`; sets are sparse subsets so
@@ -47,7 +29,7 @@ const INDEX_SPACE: usize = 24;
 fn member_set(rng: &mut SplitMix64, len: usize) -> Vec<usize> {
     let mut pool: Vec<usize> = (0..INDEX_SPACE).collect();
     for i in 0..len {
-        let j = i + rng.below(pool.len() - i);
+        let j = i + rng.below((pool.len() - i) as u64) as usize;
         pool.swap(i, j);
     }
     pool.truncate(len);
@@ -64,9 +46,9 @@ fn alive_mask(members: &[usize]) -> Vec<bool> {
 
 #[test]
 fn join_moves_at_most_the_new_members_arc_share() {
-    let mut rng = SplitMix64(0x9152_0001);
+    let mut rng = SplitMix64::new(0x9152_0001);
     for round in 0..12 {
-        let len = 1 + rng.below(10);
+        let len = 1 + rng.below(10) as usize;
         let mut members = member_set(&mut rng, len + 1);
         let joiner = members.pop().unwrap();
         let before = HashRing::for_members(&members);
@@ -78,7 +60,7 @@ fn join_moves_at_most_the_new_members_arc_share() {
         let alive_after = alive_mask(&grown);
         let mut moved = 0usize;
         for _ in 0..KEY_SAMPLES {
-            let key = rng.next();
+            let key = rng.next_u64();
             let old = before.route(key, &alive_before).unwrap();
             let new = after.route(key, &alive_after).unwrap();
             if old != new {
@@ -102,11 +84,11 @@ fn join_moves_at_most_the_new_members_arc_share() {
 
 #[test]
 fn removal_moves_only_the_removed_members_keys() {
-    let mut rng = SplitMix64(0x9152_0002);
+    let mut rng = SplitMix64::new(0x9152_0002);
     for round in 0..12 {
-        let len = 2 + rng.below(9);
+        let len = 2 + rng.below(9) as usize;
         let members = member_set(&mut rng, len);
-        let removed = members[rng.below(members.len())];
+        let removed = members[rng.below(members.len() as u64) as usize];
         let survivors: Vec<usize> = members.iter().copied().filter(|&m| m != removed).collect();
         let full = HashRing::for_members(&members);
         let shrunk = HashRing::for_members(&survivors);
@@ -118,7 +100,7 @@ fn removal_moves_only_the_removed_members_keys() {
 
         let mut moved = 0usize;
         for _ in 0..KEY_SAMPLES {
-            let key = rng.next();
+            let key = rng.next_u64();
             let old = full.route(key, &alive_full).unwrap();
             let new = shrunk.route(key, &alive_survivors).unwrap();
             if old != new {
@@ -150,9 +132,9 @@ fn removal_moves_only_the_removed_members_keys() {
 
 #[test]
 fn occupancy_tiles_to_one_with_absent_members_at_zero() {
-    let mut rng = SplitMix64(0x9152_0003);
+    let mut rng = SplitMix64::new(0x9152_0003);
     for round in 0..20 {
-        let len = 1 + rng.below(11);
+        let len = 1 + rng.below(11) as usize;
         let members = member_set(&mut rng, len);
         let ring = HashRing::for_members(&members);
         let occ = ring.occupancy(INDEX_SPACE);
@@ -176,27 +158,27 @@ fn occupancy_tiles_to_one_with_absent_members_at_zero() {
 
 #[test]
 fn routed_owner_is_always_live() {
-    let mut rng = SplitMix64(0x9152_0004);
+    let mut rng = SplitMix64::new(0x9152_0004);
     for round in 0..20 {
-        let len = 1 + rng.below(11);
+        let len = 1 + rng.below(11) as usize;
         let members = member_set(&mut rng, len);
         let ring = HashRing::for_members(&members);
         // A random non-empty live subset of the membership.
         let mut alive = vec![false; INDEX_SPACE];
         for &m in &members {
-            alive[m] = rng.next().is_multiple_of(2);
+            alive[m] = rng.next_u64().is_multiple_of(2);
         }
         if !alive.iter().any(|&a| a) {
             alive[members[0]] = true;
         }
         for _ in 0..1_000 {
-            let key = rng.next();
+            let key = rng.next_u64();
             let owner = ring
                 .route(key, &alive)
                 .expect("a ring with a live member must route");
             assert!(alive[owner], "round {round}: routed to dead worker {owner}");
         }
         // And a fully-dead ring degrades to None, never a bogus owner.
-        assert_eq!(ring.route(rng.next(), &[false; INDEX_SPACE]), None);
+        assert_eq!(ring.route(rng.next_u64(), &[false; INDEX_SPACE]), None);
     }
 }

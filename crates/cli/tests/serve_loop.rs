@@ -8,7 +8,7 @@
 use ghr_cli::serve::serve_loop;
 use ghr_core::engine::Engine;
 use ghr_machine::MachineConfig;
-use ghr_types::wire;
+use ghr_types::{wire, Json};
 use std::io::BufReader;
 
 /// One parsed response frame.
@@ -457,31 +457,50 @@ fn loadgen_drives_a_live_socket_and_counts_overload_rejections() {
         })
     };
     drop(connect_with_retry(&sock_str)); // wait for the listener to bind
+    let loadgen = |flags: &[&str]| {
+        let mut args = vec!["--socket".to_string(), sock_str.clone()];
+        args.extend(flags.iter().map(|s| s.to_string()));
+        ghr_cli::run("loadgen", &args).unwrap()
+    };
 
     // Two warm connections can never exceed the in-flight budget of two,
     // so the cold and warm phases stay rejection-free; eight closed-loop
     // overload connections must trip it.
-    let out = ghr_cli::run(
-        "loadgen",
-        &[
-            "--socket",
-            &sock_str,
-            "--catalog",
-            "3",
-            "--requests",
-            "400",
-            "--conns",
-            "2",
-            "--overload-conns",
-            "8",
-            "--no-out",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>(),
-    )
-    .unwrap();
-    assert!(out.contains("loadgen (socket mode)"), "{out}");
+    let report = std::env::temp_dir().join(format!("ghr-loadgen-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&report);
+    let out = loadgen(&[
+        "--catalog",
+        "3",
+        "--requests",
+        "400",
+        "--conns",
+        "2",
+        "--overload-conns",
+        "8",
+        "--label",
+        "serve-loop",
+        "--out",
+        &report.to_string_lossy(),
+    ]);
+    assert!(
+        out.contains("loadgen (socket mode, label \"serve-loop\")"),
+        "{out}"
+    );
+    assert!(
+        out.contains(&format!("wrote {}", report.display())),
+        "{out}"
+    );
+    // The report file: JSON that parses, stamped with the label, with the
+    // per-class latency rows.
+    let json = std::fs::read_to_string(&report).expect("--out writes the report");
+    std::fs::remove_file(&report).unwrap();
+    let doc = Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert_eq!(
+        doc.get("label").and_then(Json::as_str),
+        Some("serve-loop"),
+        "{json}"
+    );
+    assert!(json.contains("\"classes\": ["), "{json}");
     for phase in ["cold", "warm", "overload"] {
         assert!(out.contains(&format!("| {phase}")), "{out}");
     }
@@ -514,6 +533,14 @@ fn loadgen_drives_a_live_socket_and_counts_overload_rejections() {
         overload > 0,
         "a cold volley from eight conns over a budget of two must trip it: {over}"
     );
+
+    // --no-out writes no report: not the default file either.
+    let default_report = std::path::Path::new("BENCH_loadgen.json");
+    let existed = default_report.exists();
+    let out = loadgen(&["--catalog", "2", "--requests", "20", "--no-out"]);
+    assert!(out.contains("| warm "), "{out}");
+    assert!(!out.contains("wrote "), "{out}");
+    assert_eq!(default_report.exists(), existed, "--no-out wrote a report");
 
     let mut stream = connect_with_retry(&sock_str);
     stream.write_all(b"ghr-shutdown\n").unwrap();

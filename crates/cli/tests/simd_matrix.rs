@@ -1,6 +1,7 @@
 //! Forced-backend matrix test: the complete `ghr all` artifact set must be
 //! byte-identical with the SIMD substrate disabled (`GHR_SIMD=off`) and
-//! with runtime auto-detection (`GHR_SIMD=auto`).
+//! with runtime auto-detection (`GHR_SIMD=auto`), and both runs must match
+//! the golden copy committed in `experiments/`, file for file.
 //!
 //! This is the end-to-end witness of the kernel layer's bit-identity
 //! contract: `verify.md` routes every paper case through the real
@@ -47,6 +48,43 @@ fn run_all_with(simd: &str, dir: &Path) {
     assert!(out.contains("wrote"), "{out}");
 }
 
+/// The committed golden artifacts: exactly what `ghr all` writes.
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
+}
+
+/// Fail unless `got` holds exactly the golden files, byte for byte,
+/// naming the first differing line of the first file that differs.
+fn assert_matches_golden(run: &str, got: &BTreeMap<String, Vec<u8>>) {
+    const REGENERATE: &str = "regenerate with `ghr all experiments/ --no-cache` \
+                              and review the diff";
+    let golden = artifact_bytes(&golden_dir());
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        golden.keys().collect::<Vec<_>>(),
+        "{run}: `ghr all` wrote a different file set than experiments/ holds; {REGENERATE}"
+    );
+    for (name, want) in &golden {
+        let have = &got[name];
+        if have == want {
+            continue;
+        }
+        let (have, want) = (String::from_utf8_lossy(have), String::from_utf8_lossy(want));
+        let line = have
+            .split('\n')
+            .zip(want.split('\n'))
+            .take_while(|(h, w)| h == w)
+            .count();
+        panic!(
+            "{run}: experiments/{name} differs from `ghr all` at line {}:\n  \
+             committed: {:?}\n  generated: {:?}\n{REGENERATE}",
+            line + 1,
+            want.split('\n').nth(line).unwrap_or("<end of file>"),
+            have.split('\n').nth(line).unwrap_or("<end of file>"),
+        );
+    }
+}
+
 fn artifact_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut files = BTreeMap::new();
     for entry in fs::read_dir(dir).unwrap() {
@@ -69,25 +107,10 @@ fn ghr_all_artifacts_are_identical_across_forced_backends() {
     run_all_with("auto", &auto_dir);
     std::env::remove_var("GHR_SIMD");
 
-    let off = artifact_bytes(&off_dir);
-    let auto_ = artifact_bytes(&auto_dir);
-
-    assert!(
-        off.contains_key("verify.md"),
-        "artifact set: {:?}",
-        off.keys()
-    );
-    assert_eq!(
-        off.keys().collect::<Vec<_>>(),
-        auto_.keys().collect::<Vec<_>>(),
-        "the two runs wrote different artifact sets"
-    );
-    for (name, bytes) in &off {
-        assert_eq!(
-            bytes, &auto_[name],
-            "{name} differs between GHR_SIMD=off and GHR_SIMD=auto"
-        );
-    }
+    // Both runs equal to the golden copy means equal to each other: the
+    // scalar and SIMD backends agree bit for bit.
+    assert_matches_golden("GHR_SIMD=off", &artifact_bytes(&off_dir));
+    assert_matches_golden("GHR_SIMD=auto", &artifact_bytes(&auto_dir));
 
     let _ = fs::remove_dir_all(&off_dir);
     let _ = fs::remove_dir_all(&auto_dir);

@@ -658,10 +658,10 @@ impl Engine {
     }
 
     /// [`Engine::respond`] with the request id precomputed by the caller
-    /// (`id` must be `request.id().0`). Hot loops — the loadgen harness
-    /// replaying a fixed catalog — hash each request once and reuse the
-    /// id across thousands of calls, so the warm path's cost is the cache
-    /// probe itself, not the canonical render feeding the hash.
+    /// (`id` must be `request.id().0`). A caller that already holds the
+    /// id — `ghr serve` hashes each line once for its frame header —
+    /// passes it in, so the warm path's cost is the cache probe itself,
+    /// not a second canonical render feeding the hash.
     ///
     /// A warm hit takes one read lock, the response map's, and returns
     /// before the single flight is touched. A cold id leads the
@@ -1960,5 +1960,87 @@ mod tests {
         assert_eq!(warm.source, ResponseSource::ResponseCache);
         assert_eq!(warm.evals, 0, "{warm:?}");
         assert!(Arc::ptr_eq(&warm.response, &cold.response));
+    }
+
+    #[test]
+    fn recombined_ids_are_new_and_answered_without_evaluation() {
+        use crate::reduction::KernelKind;
+        let e = engine(2);
+        let corun =
+            |case, alloc, m| CorunConfig::paper(case, KernelKind::Baseline, alloc).scaled(m, 2);
+        let a1 = [
+            corun(Case::C2, AllocSite::A1, 65_856),
+            corun(Case::C1, AllocSite::A1, 68_096),
+        ];
+        let a2 = [
+            corun(Case::C3, AllocSite::A2, 66_176),
+            corun(Case::C2, AllocSite::A2, 68_416),
+        ];
+        let sweep = GpuSweep {
+            case: Case::C1,
+            teams_axis: vec![4096, 65536],
+            vs: vec![1, 4],
+            thread_limit: 256,
+            m: 1 << 16,
+        };
+        let exhaustive = |sweep| Request::Sweep {
+            sweep,
+            mode: SweepMode::Exhaustive,
+        };
+        let cols = kernels::GEMV_COLS_DEFAULT;
+        let gemv = |m| Request::Gemv {
+            case: Case::C3,
+            cols,
+            m: Some(m),
+        };
+        let raw_m = 67_456;
+        let rounded_m = kernels::workload_m(WorkloadKind::Gemv { cols }, Case::C3, Some(raw_m));
+        assert_ne!(rounded_m, raw_m, "GEMV rounds m to whole rows");
+
+        // The base set, evaluated once: a sweep, four single-config
+        // co-run requests and a GEMV at its raw m.
+        let mut base = vec![exhaustive(sweep.clone()), gemv(raw_m)];
+        base.extend(
+            a1.iter()
+                .chain(&a2)
+                .map(|&cfg| Request::Corun { configs: vec![cfg] }),
+        );
+        for r in &base {
+            e.run(r).unwrap();
+        }
+        // New ids over already-published work items: a one-column
+        // sub-sweep, each site's pair merged into one request, and the
+        // GEMV at its row-rounded m.
+        let recombined = [
+            exhaustive(GpuSweep {
+                vs: vec![4],
+                ..sweep
+            }),
+            Request::Corun {
+                configs: a1.to_vec(),
+            },
+            Request::Corun {
+                configs: a2.to_vec(),
+            },
+            gemv(rounded_m),
+        ];
+        let mut ids: Vec<u64> = recombined.iter().chain(&base).map(|r| r.id().0).collect();
+        let total = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), total, "recombined ids must be new");
+
+        let before = e.stats();
+        for r in &recombined {
+            let got = e.respond(r).unwrap();
+            assert_eq!(got.source, ResponseSource::Fresh, "{r:?}");
+            assert_eq!(got.evals, 0, "recombined {r:?} must re-use warm items");
+        }
+        let after = e.stats();
+        assert_eq!(after.evaluated, before.evaluated, "no fresh evaluation");
+        assert!(
+            after.hits > before.hits,
+            "recombined requests must drive warm item-cache traffic"
+        );
     }
 }

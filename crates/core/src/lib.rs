@@ -35,7 +35,6 @@ pub mod engine;
 pub mod exec;
 pub mod explain;
 pub mod kernels;
-pub mod loadgen;
 pub mod plan;
 pub mod plot;
 pub mod pricing;
@@ -56,7 +55,6 @@ pub use corun::{AllocSite, CorunConfig, CorunSeries};
 pub use engine::{Engine, EngineStats, Responded, ResponseSource};
 pub use exec::Executor;
 pub use kernels::{Placement, WorkloadPoint, WorkloadResult};
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use plan::{Plan, Planner, Stage, StageKind, WorkItem};
 pub use reduction::{KernelKind, ReductionSpec};
 pub use request::{Request, Response};

@@ -3,41 +3,10 @@
 //! The paper's input is simply "M numbers"; the distribution does not
 //! affect the *timing* of a streaming reduction, but it does affect
 //! verification strength and floating-point error behaviour. These
-//! generators cover the regimes the test suites and benches need, all
+//! generators cover the regimes the test suites need, all
 //! deterministic given a seed.
 
-use ghr_types::Element;
-
-/// SplitMix64: the zero-dependency seeded generator behind the random
-/// workloads (replaces the external `rand` crate so the workspace builds
-/// offline). Sequences are stable across platforms and releases — seeds
-/// are part of the reproduction protocol.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seed the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit output (Steele et al., "Fast splittable
-    /// pseudorandom number generators", OOPSLA 2014).
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform sample in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+use ghr_types::{Element, SplitMix64};
 
 /// A reproducible input distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]

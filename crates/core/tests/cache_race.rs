@@ -1,18 +1,51 @@
 //! Race acceptance for the shared cache maps: eight threads hammer the
-//! response cache with overlapping request ids and every answer must be
-//! byte-identical to a serial engine's cold answer, and racing
-//! publications must leave exactly one entry per distinct key.
+//! response cache with overlapping request ids, one request of every
+//! class a server answers, and every answer must be byte-identical to a
+//! serial engine's cold answer without evaluating; racing publications
+//! must leave exactly one entry per distinct key.
 
-use ghr_core::engine::{Engine, ResponseSource};
-use ghr_core::{Case, Request};
+use ghr_core::kernels::GEMV_COLS_DEFAULT;
+use ghr_core::{
+    AllocSite, Case, CorunConfig, Engine, GpuSweep, KernelKind, Request, ResponseSource, SweepMode,
+};
 use ghr_machine::MachineConfig;
 use std::sync::Barrier;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 50;
 
-fn requests() -> [Request; 3] {
-    [Request::Table1, Request::WhatIf, Request::fig1(Case::C1)]
+/// One request per class: the paper's tables and figures, a 2x2
+/// exhaustive sweep (GPU points), an A1 co-run series, A2 per-`p` co-run
+/// points, and the descriptor-timed dot, scan and GEMV workloads.
+fn requests() -> Vec<Request> {
+    let corun = |alloc| Request::Corun {
+        configs: vec![CorunConfig::paper(Case::C2, KernelKind::Baseline, alloc).scaled(65536, 2)],
+    };
+    let m = Some(1 << 16);
+    vec![
+        Request::Table1,
+        Request::WhatIf,
+        Request::fig1(Case::C1),
+        Request::Sweep {
+            sweep: GpuSweep {
+                case: Case::C1,
+                teams_axis: vec![4096, 65536],
+                vs: vec![1, 4],
+                thread_limit: 256,
+                m: 1 << 16,
+            },
+            mode: SweepMode::Exhaustive,
+        },
+        corun(AllocSite::A1),
+        corun(AllocSite::A2),
+        Request::Dot { case: Case::C1, m },
+        Request::Scan { case: Case::C2, m },
+        Request::Gemv {
+            case: Case::C3,
+            cols: GEMV_COLS_DEFAULT,
+            m,
+        },
+    ]
 }
 
 #[test]
@@ -42,7 +75,7 @@ fn warm_reads_race_free_across_eight_threads() {
                 let (warmed, timed) = (&warmed, &timed);
                 s.spawn(move || {
                     // Cold pass: every thread issues every request, so the
-                    // single-flight leaders publish all three responses.
+                    // single-flight leaders publish every response.
                     for r in reqs {
                         engine.respond(r).unwrap();
                     }

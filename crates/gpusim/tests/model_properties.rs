@@ -18,28 +18,7 @@ mod std_fallback {
     use super::model;
     use ghr_gpusim::{GpuModel, GpuModelParams, LaunchConfig};
     use ghr_machine::GpuSpec;
-    use ghr_types::DType;
-
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
+    use ghr_types::{DType, SplitMix64};
 
     const CASES: usize = 128;
 
@@ -62,7 +41,7 @@ mod std_fallback {
 
     #[test]
     fn outputs_are_physical() {
-        let mut rng = SplitMix64(0x6d01_0001);
+        let mut rng = SplitMix64::new(0x6d01_0001);
         let m = model();
         for _ in 0..CASES {
             let cfg = any_launch(&mut rng);
@@ -79,7 +58,7 @@ mod std_fallback {
 
     #[test]
     fn monotone_in_m() {
-        let mut rng = SplitMix64(0x6d01_0002);
+        let mut rng = SplitMix64::new(0x6d01_0002);
         let m = model();
         for _ in 0..CASES {
             let cfg = any_launch(&mut rng);
@@ -93,11 +72,11 @@ mod std_fallback {
 
     #[test]
     fn supply_cap_is_monotone() {
-        let mut rng = SplitMix64(0x6d01_0003);
+        let mut rng = SplitMix64::new(0x6d01_0003);
         let m = model();
         for _ in 0..CASES {
             let cfg = any_launch(&mut rng);
-            let cap_gbps = 10.0 + rng.unit() * 3990.0;
+            let cap_gbps = 10.0 + rng.next_f64() * 3990.0;
             let free = m.reduce(&cfg).unwrap().total;
             let capped = m
                 .reduce_with_supply(&cfg, Some(ghr_types::Bandwidth::gbps(cap_gbps)))
@@ -109,10 +88,10 @@ mod std_fallback {
 
     #[test]
     fn team_overhead_is_monotone() {
-        let mut rng = SplitMix64(0x6d01_0004);
+        let mut rng = SplitMix64::new(0x6d01_0004);
         for _ in 0..CASES {
             let cfg = any_launch(&mut rng);
-            let factor = 1.0 + rng.unit() * 9.0;
+            let factor = 1.0 + rng.next_f64() * 9.0;
             let base = model().reduce(&cfg).unwrap().total;
             let mut params = GpuModelParams::default();
             params.team_overhead_ns *= factor;

@@ -110,43 +110,23 @@ fn gpu_pass_residue(pages: u64) -> (u64, u64, u64) {
 /// The properties, each over SplitMix64-seeded random inputs.
 mod std_fallback {
     use super::*;
+    use ghr_types::SplitMix64;
 
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform in `lo..hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
-            lo + self.next() % (hi - lo)
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        fn op(&mut self) -> Op {
-            let kind = self.range(0, 4) as u8;
-            Op::of(kind, self.unit(), self.unit())
-        }
+    /// A random operation: its kind, then its two unit draws.
+    fn any_op(rng: &mut SplitMix64) -> Op {
+        let kind = rng.below(4) as u8;
+        Op::of(kind, rng.next_f64(), rng.next_f64())
     }
 
     const CASES: usize = 48;
 
     #[test]
     fn trace_invariants() {
-        let mut rng = SplitMix64(0x0a11_0c01);
+        let mut rng = SplitMix64::new(0x0a11_0c01);
         for _ in 0..CASES {
-            let len = rng.range(1, 200_000);
-            let page = [512u64, 4096, 65536][rng.range(0, 3) as usize];
-            let ops: Vec<Op> = (0..rng.range(1, 40)).map(|_| rng.op()).collect();
+            let len = 1 + rng.below(199_999);
+            let page = [512u64, 4096, 65536][rng.below(3) as usize];
+            let ops: Vec<Op> = (0..1 + rng.below(39)).map(|_| any_op(&mut rng)).collect();
             if let Err(e) = check_trace(len, page, &ops) {
                 panic!("len={len} page={page}: {e}");
             }
@@ -227,9 +207,9 @@ mod std_fallback {
 
     #[test]
     fn regions_are_isolated() {
-        let mut rng = SplitMix64(0x0a11_0c05);
+        let mut rng = SplitMix64::new(0x0a11_0c05);
         for _ in 0..CASES {
-            let (l1, l2) = (rng.range(1, 50_000), rng.range(1, 50_000));
+            let (l1, l2) = (1 + rng.below(49_999), 1 + rng.below(49_999));
             let machine = machine_with_pages(4096);
             let mut um = UnifiedMemory::new(&machine);
             let a = um.alloc(Bytes(l1));

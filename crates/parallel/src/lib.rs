@@ -21,13 +21,11 @@
 //! * [`reduce`] — parallel reductions combining the above, with
 //!   OpenMP-style static chunking;
 //! * [`microbench`] — std-only (no Criterion) warmup + min-of-N timing of
-//!   the real kernels, backing `ghr bench` / `ghr calibrate cpu` and the
-//!   `crates/bench` targets.
+//!   the real kernels, backing `ghr bench` / `ghr calibrate cpu`.
 //!
 //! The functional executors in `ghr-omp` call into this crate so that every
 //! simulated experiment also *computes* its reduction for verification, and
-//! the std-only benches in `ghr-bench` measure these kernels for real on
-//! the build host.
+//! `ghr bench` measures these kernels for real on the build host.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,7 +42,7 @@ pub use kernels::{
     sum_kahan, sum_pairwise, sum_sequential, sum_unrolled, sum_unrolled_with_backend,
     try_sum_unrolled, validate_v,
 };
-pub use microbench::{measure, measure_pair, time_min, BenchSpec, Pair, Sample};
+pub use microbench::{measure, measure_pair, BenchSpec, Pair, Sample};
 pub use pool::{Scope, ThreadPool};
 pub use reduce::{
     parallel_max, parallel_min, parallel_reduce_with, parallel_sum, parallel_sum_unrolled,

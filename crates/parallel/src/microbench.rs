@@ -4,8 +4,7 @@
 //! The repo's default workspace resolves with zero registry access, so this
 //! harness deliberately uses nothing beyond `std::time::Instant` and
 //! `std::hint::black_box` — no Criterion. It backs the `ghr bench` and
-//! `ghr calibrate cpu` subcommands and the std-only targets in
-//! `crates/bench`.
+//! `ghr calibrate cpu` subcommands.
 //!
 //! Min-of-N is the right statistic for a throughput kernel on a noisy
 //! machine: every source of interference (scheduler preemption, frequency
@@ -23,8 +22,8 @@ use std::time::{Duration, Instant};
 /// Run `f` for `warmup` untimed and `reps` timed repetitions; return the
 /// minimum duration and the result of the final repetition.
 ///
-/// This is the timing primitive every std-only bench target routes
-/// through; `reps` must be at least 1.
+/// This is the timing primitive [`measure`] routes through; `reps` must
+/// be at least 1.
 pub fn time_min<R, F: FnMut() -> R>(warmup: usize, reps: usize, mut f: F) -> (Duration, R) {
     assert!(reps >= 1, "time_min needs at least one timed repetition");
     for _ in 0..warmup {

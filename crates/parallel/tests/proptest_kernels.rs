@@ -9,35 +9,15 @@ mod std_fallback {
         parallel_max, parallel_min, parallel_sum, parallel_sum_unrolled, sum_kahan, sum_pairwise,
         sum_sequential, sum_unrolled, ChunkPolicy, ThreadPool,
     };
+    use ghr_types::SplitMix64;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
 
     const CASES: usize = 64;
 
     #[test]
     fn all_i32_kernels_agree() {
-        let mut rng = SplitMix64(0x2a11_0001);
+        let mut rng = SplitMix64::new(0x2a11_0001);
         for _ in 0..CASES {
             let len = rng.below(20_000) as usize;
             let data: Vec<i32> = (0..len)
@@ -59,7 +39,7 @@ mod std_fallback {
 
     #[test]
     fn min_max_agree_with_iterators() {
-        let mut rng = SplitMix64(0x2a11_0002);
+        let mut rng = SplitMix64::new(0x2a11_0002);
         for _ in 0..CASES {
             let len = 1 + rng.below(10_000) as usize;
             let data: Vec<i8> = (0..len)
@@ -79,10 +59,12 @@ mod std_fallback {
 
     #[test]
     fn float_kernels_are_bounded() {
-        let mut rng = SplitMix64(0x2a11_0003);
+        let mut rng = SplitMix64::new(0x2a11_0003);
         for _ in 0..CASES {
             let len = 1 + rng.below(10_000) as usize;
-            let data: Vec<f32> = (0..len).map(|_| (rng.unit() * 2.0 - 1.0) as f32).collect();
+            let data: Vec<f32> = (0..len)
+                .map(|_| (rng.next_f64() * 2.0 - 1.0) as f32)
+                .collect();
             let threads = 1 + rng.below(7) as usize;
             let exact: f64 = data.iter().map(|&x| x as f64).sum();
             let naive = sum_sequential(&data) as f64;
@@ -98,7 +80,7 @@ mod std_fallback {
 
     #[test]
     fn pool_runs_each_job_once() {
-        let mut rng = SplitMix64(0x2a11_0004);
+        let mut rng = SplitMix64::new(0x2a11_0004);
         for _ in 0..16 {
             let threads = 1 + rng.below(7) as usize;
             let jobs = rng.below(200);

@@ -3,8 +3,8 @@
 //! Foundation types shared by every crate in the Grace-Hopper reduction
 //! study: element data types ([`DType`], the [`Element`]/[`Accum`] traits),
 //! physical units ([`Bytes`], [`Bandwidth`], [`SimTime`], [`Frequency`]),
-//! device identifiers ([`Device`]), error types ([`GhrError`]) and small
-//! statistics helpers ([`Summary`]).
+//! device identifiers ([`Device`]), error types ([`GhrError`]) and the
+//! workspace's one seeded generator ([`SplitMix64`]).
 //!
 //! The crate is dependency-light by design so that simulators, the OpenMP
 //! execution model and the benchmark harness can all agree on the same
@@ -19,6 +19,7 @@ pub mod error;
 pub mod json;
 pub mod kernel;
 pub mod pipeline;
+pub mod rng;
 pub mod stats;
 pub mod transport;
 pub mod units;
@@ -30,6 +31,7 @@ pub use error::{GhrError, Result};
 pub use json::{Json, JsonError};
 pub use kernel::{CombinePattern, KernelDescriptor, OutputCardinality, WorkloadKind};
 pub use pipeline::{PlanSummary, RequestId, SessionStats, StagePlan, StageTiming};
-pub use stats::{RouterStats, RouterWorkerStats, Summary};
+pub use rng::SplitMix64;
+pub use stats::{RouterStats, RouterWorkerStats};
 pub use transport::{Endpoint, Listener, Stream};
 pub use units::{Bandwidth, Bytes, Frequency, SimTime};

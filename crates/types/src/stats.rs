@@ -1,5 +1,4 @@
-//! Small online-statistics helpers used by harnesses and benches, plus
-//! the router's forwarding ledger.
+//! The router's forwarding ledger.
 
 /// One worker's row in the router's forwarding ledger.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,101 +124,6 @@ impl RouterStats {
     }
 }
 
-/// Online summary statistics (count / min / max / mean / variance) over a
-/// stream of `f64` samples, using Welford's algorithm so that long series
-/// (e.g. per-repetition kernel times) stay numerically stable.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` if empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.add(x);
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,52 +175,5 @@ mod tests {
         assert!(lines.contains("worker-1: 5 forwarded"), "{lines}");
         assert!(lines.contains("(dead)"), "{lines}");
         assert!(lines.contains("21 request(s)"), "{lines}");
-    }
-
-    #[test]
-    fn empty_summary() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.stddev(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn known_values() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.stddev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: Summary = xs.iter().copied().collect();
-        let mut left: Summary = xs[..37].iter().copied().collect();
-        let right: Summary = xs[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: Summary = [1.0, 2.0].into_iter().collect();
-        s.merge(&Summary::new());
-        assert_eq!(s.count(), 2);
-        let mut e = Summary::new();
-        e.merge(&s);
-        assert_eq!(e.count(), 2);
-        assert_eq!(e.max(), Some(2.0));
     }
 }

@@ -10,34 +10,13 @@ mod std_fallback {
     use grace_hopper_reduction::machine::{GpuSpec, MachineConfig};
     use grace_hopper_reduction::mem::{Residency, UnifiedMemory};
     use grace_hopper_reduction::parallel::{parallel_sum_unrolled, sum_sequential, ChunkPolicy};
-    use grace_hopper_reduction::types::{Bytes, DType, Device};
-
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
+    use grace_hopper_reduction::types::{Bytes, DType, Device, SplitMix64};
 
     const CASES: usize = 64;
 
     #[test]
     fn device_execution_matches_sequential_i32() {
-        let mut rng = SplitMix64(0x1457_0001);
+        let mut rng = SplitMix64::new(0x1457_0001);
         for _ in 0..CASES {
             let len = 1 + rng.below(5000) as usize;
             let data: Vec<i32> = (0..len).map(|_| rng.below(2000) as i32 - 1000).collect();
@@ -56,7 +35,7 @@ mod std_fallback {
 
     #[test]
     fn parallel_cpu_reduction_matches_sequential_i8() {
-        let mut rng = SplitMix64(0x1457_0002);
+        let mut rng = SplitMix64::new(0x1457_0002);
         for _ in 0..CASES {
             let len = rng.below(10_000) as usize;
             let data: Vec<i8> = (0..len)
@@ -80,10 +59,10 @@ mod std_fallback {
 
     #[test]
     fn device_execution_float_bounded() {
-        let mut rng = SplitMix64(0x1457_0003);
+        let mut rng = SplitMix64::new(0x1457_0003);
         for _ in 0..CASES {
             let len = 1 + rng.below(5000) as usize;
-            let data: Vec<f64> = (0..len).map(|_| rng.unit() * 2.0 - 1.0).collect();
+            let data: Vec<f64> = (0..len).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
             let launch = LaunchConfig {
                 num_teams: 1 + rng.below(10_000),
                 threads_per_team: 128,
@@ -104,7 +83,7 @@ mod std_fallback {
 
     #[test]
     fn page_states_are_conserved() {
-        let mut rng = SplitMix64(0x1457_0004);
+        let mut rng = SplitMix64::new(0x1457_0004);
         for _ in 0..CASES {
             let len = 1 + rng.below(100_000);
             let mut machine = MachineConfig::gh200();
@@ -118,8 +97,8 @@ mod std_fallback {
                 } else {
                     Device::GPU0
                 };
-                let off = (rng.unit() * len as f64) as u64;
-                let n = ((rng.unit() * (len - off) as f64) as u64).min(len - off);
+                let off = (rng.next_f64() * len as f64) as u64;
+                let n = ((rng.next_f64() * (len - off) as f64) as u64).min(len - off);
                 um.access(dev, rid, Bytes(off), Bytes(n));
                 let (u, c, g) = um.residency_histogram(rid);
                 assert_eq!(u + c + g, total_pages);
@@ -129,15 +108,15 @@ mod std_fallback {
 
     #[test]
     fn access_outcomes_account_for_all_bytes() {
-        let mut rng = SplitMix64(0x1457_0005);
+        let mut rng = SplitMix64::new(0x1457_0005);
         for _ in 0..CASES {
             let len = 1 + rng.below(50_000);
             let mut machine = MachineConfig::gh200();
             machine.page_size = Bytes(1024);
             let mut um = UnifiedMemory::new(&machine);
             let rid = um.alloc(Bytes(len));
-            let off = (rng.unit() * len as f64) as u64;
-            let n = ((rng.unit() * (len - off) as f64) as u64).min(len - off);
+            let off = (rng.next_f64() * len as f64) as u64;
+            let n = ((rng.next_f64() * (len - off) as f64) as u64).min(len - off);
             let out = um.gpu_access(rid, Bytes(off), Bytes(n));
             assert_eq!(out.total(), Bytes(n));
             let out = um.cpu_access(rid, Bytes(off), Bytes(n));
@@ -147,7 +126,7 @@ mod std_fallback {
 
     #[test]
     fn gpu_model_sanity() {
-        let mut rng = SplitMix64(0x1457_0006);
+        let mut rng = SplitMix64::new(0x1457_0006);
         let model = GpuModel::new(GpuSpec::h100_sxm_gh200());
         for _ in 0..CASES {
             let cfg = LaunchConfig {

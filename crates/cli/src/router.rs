@@ -352,25 +352,28 @@ pub fn run_router(_opts: &RouterOptions) -> Result<String, String> {
 #[cfg(unix)]
 mod socket {
     use super::{HashRing, RouterOptions};
-    use crate::serve::{self, sig, Admission, RawRead};
+    use crate::serve::{self, sig, Acceptor, Admission, RawRead};
+    use ghr_types::transport::wait_closed;
     use ghr_types::wire::{self, Frame};
     use ghr_types::{Endpoint, RequestId, RouterStats, RouterWorkerStats, Stream};
     use std::collections::VecDeque;
     use std::io::{BufReader, Write};
     use std::process::{Child, Command, Stdio};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::{Arc, Mutex, PoisonError, RwLock};
-    use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
-    /// Session read-poll tick — the drain-latency bound, as in serve.
-    const READ_TICK: Duration = Duration::from_millis(50);
-    /// Acceptor poll interval.
-    const ACCEPT_TICK: Duration = Duration::from_millis(5);
     /// Dead-worker revival probe interval.
     const PROBE_TICK: Duration = Duration::from_millis(200);
     /// How long a spawned worker gets to bind its socket.
     const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
+    /// How often a spawned worker that has not bound yet is probed: a
+    /// worker binds within milliseconds of its start.
+    const READY_PROBE: Duration = Duration::from_millis(1);
+    /// How long a spawned worker gets to drain after `ghr-shutdown`
+    /// before it is killed.
+    const STOP_DEADLINE: Duration = Duration::from_secs(5);
     /// Hard deadline on any single read from a worker connection. A
     /// killed worker closes its socket (EOF, instant), but a worker
     /// that *accepted* the connect and then never serves it would wedge
@@ -867,7 +870,6 @@ mod socket {
     /// Every line the client has already sent, up to `pipeline`, is
     /// written to its worker before any frame is read, so lines for
     /// different workers overlap; frames are relayed in arrival order.
-    /// Returns whether this session asked the whole router to shut down.
     fn router_session(
         router: &Router,
         session: u64,
@@ -876,7 +878,7 @@ mod socket {
         shutdown: &AtomicBool,
         max_frame: usize,
         pipeline: usize,
-    ) -> std::io::Result<bool> {
+    ) -> std::io::Result<()> {
         let mut s = Session {
             router,
             id: session,
@@ -885,7 +887,6 @@ mod socket {
             head: 0,
         };
         let pipeline = pipeline.max(1);
-        let mut wants_shutdown = false;
         let mut buf: Vec<u8> = Vec::new();
         let hard_cap = serve::HARD_LINE_CAP.max(max_frame.saturating_add(1));
         loop {
@@ -937,7 +938,6 @@ mod socket {
             if line == wire::SHUTDOWN_LINE {
                 shutdown.store(true, Ordering::SeqCst);
                 eprintln!("router[{session}]: shutdown frame received; draining");
-                wants_shutdown = true;
                 break;
             }
             if line.starts_with(wire::JOIN_PREFIX) {
@@ -960,7 +960,7 @@ mod socket {
             s.settle_front();
             s.relay_ready(out)?;
         }
-        Ok(wants_shutdown)
+        Ok(())
     }
 
     /// The base path spawned workers hang their unix sockets off: the
@@ -992,12 +992,15 @@ mod socket {
         let log = std::fs::File::create(&log_path)
             .map_err(|e| format!("cannot create worker log {log_path:?}: {e}"))?;
         let mut cmd = Command::new(exe);
+        // The worker never reads its stdin; the router holds the pipe's
+        // write end because the worker's exit closes the read end
+        // (`stop_workers`).
         cmd.arg("serve")
             .arg("--socket")
             .arg(&sock)
             .arg("--sessions")
             .arg(sessions.to_string())
-            .stdin(Stdio::null())
+            .stdin(Stdio::piped())
             .stdout(Stdio::null())
             .stderr(log);
         if opts.threads > 0 {
@@ -1053,34 +1056,39 @@ mod socket {
                         worker.name, worker.endpoint
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(READY_PROBE);
             }
         }
         Ok(())
     }
 
-    /// Gracefully stop one spawned worker: `ghr-shutdown` over its
-    /// socket, a bounded wait, then a kill as the backstop.
-    fn stop_worker(worker: &Worker) {
-        let mut child = worker.child.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(child) = child.as_mut() else {
-            return; // attached worker: not ours to stop
-        };
-        if let Ok(mut conn) = worker.endpoint.connect() {
-            let _ = conn.write_all(format!("{}\n", wire::SHUTDOWN_LINE).as_bytes());
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20))
-                }
-                _ => break,
+    /// Gracefully stop every spawned worker: `ghr-shutdown` over each
+    /// socket, so they drain together, then a wait for each exit (its
+    /// stdin pipe closes) until [`STOP_DEADLINE`], and a kill as the
+    /// backstop. Attached workers are not ours to stop.
+    fn stop_workers(workers: &[Arc<Worker>]) {
+        let mut children: Vec<_> = workers
+            .iter()
+            .map(|w| (w, w.child.lock().unwrap_or_else(PoisonError::into_inner)))
+            .filter(|(_, child)| child.is_some())
+            .collect();
+        for (worker, _) in &children {
+            if let Ok(mut conn) = worker.endpoint.connect() {
+                let _ = conn.write_all(format!("{}\n", wire::SHUTDOWN_LINE).as_bytes());
             }
         }
-        let _ = child.kill();
-        let _ = child.wait();
+        let deadline = Instant::now() + STOP_DEADLINE;
+        for (_, child) in &mut children {
+            let child = child.as_mut().expect("filtered to spawned workers");
+            let exited = child
+                .stdin
+                .as_ref()
+                .is_some_and(|pipe| wait_closed(pipe, deadline).unwrap_or(false));
+            if !exited {
+                let _ = child.kill();
+            }
+            let _ = child.wait();
+        }
     }
 
     pub(super) fn run(opts: &RouterOptions) -> Result<String, String> {
@@ -1102,6 +1110,9 @@ mod socket {
             0 => worker_count * 2,
             n => n,
         };
+        // Installed before the workers start, so a SIGTERM during their
+        // startup drains them instead of orphaning them.
+        let term = sig::install().map_err(|e| format!("cannot watch SIGTERM: {e}"))?;
 
         let workers: Vec<Arc<Worker>> = if spawn_mode {
             let base = worker_base(opts);
@@ -1152,7 +1163,6 @@ mod socket {
                  unless the network path is trusted"
             );
         }
-        sig::install();
         let shutdown = Arc::new(AtomicBool::new(false));
         eprintln!(
             "router: listening on {bound} -> {worker_count} worker(s), \
@@ -1168,14 +1178,14 @@ mod socket {
         // Revival probe: a dead worker whose endpoint accepts again is
         // put back in rotation (its hash range returns home) — unless
         // it stayed dead past the retirement window, in which case its
-        // vnodes leave the ring for good.
+        // vnodes leave the ring for good. It runs every PROBE_TICK, and
+        // stops at once when the router drains and drops `stop_probe`.
+        let (stop_probe, probe_stopped) = mpsc::channel::<()>();
         let probe = {
             let router = Arc::clone(&router);
-            let shutdown = Arc::clone(&shutdown);
             let retire_after = opts.retire_after;
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(PROBE_TICK);
+                while let Err(RecvTimeoutError::Timeout) = probe_stopped.recv_timeout(PROBE_TICK) {
                     let workers: Vec<Arc<Worker>> = router.read_members().workers.clone();
                     let mut retired_any = false;
                     for worker in &workers {
@@ -1213,84 +1223,36 @@ mod socket {
             })
         };
 
-        let mut active: Vec<JoinHandle<()>> = Vec::new();
-        let mut next_session = 1u64;
-        let mut last_activity = Instant::now();
-        loop {
-            if sig::seen() {
-                shutdown.store(true, Ordering::SeqCst);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // Finished handles are dropped without joining; every
-            // counter a session touches lives on the shared Router.
-            active.retain(|h| !h.is_finished());
-            if !active.is_empty() {
-                last_activity = Instant::now();
-            } else if let Some(idle) = opts.max_idle {
-                if last_activity.elapsed() >= idle {
-                    eprintln!(
-                        "router: idle for {:.1}s with no session; shutting down",
-                        idle.as_secs_f64()
-                    );
-                    break;
+        let session = {
+            let router = Arc::clone(&router);
+            let shutdown = Arc::clone(&shutdown);
+            let (max_frame, pipeline) = (opts.max_frame, opts.pipeline);
+            move |id: u64, input: &mut BufReader<Stream>, out: &mut Stream| {
+                let ended = router_session(&router, id, input, out, &shutdown, max_frame, pipeline);
+                match ended {
+                    Ok(()) => eprintln!("router[{id}]: session done"),
+                    Err(e) => eprintln!("router[{id}]: session ended: {e}"),
                 }
             }
-            if active.len() < sessions {
-                match listener.accept() {
-                    Ok(mut stream) => {
-                        last_activity = Instant::now();
-                        let id = next_session;
-                        next_session += 1;
-                        let router = Arc::clone(&router);
-                        let shutdown = Arc::clone(&shutdown);
-                        let max_frame = opts.max_frame;
-                        let pipeline = opts.pipeline;
-                        active.push(std::thread::spawn(move || {
-                            let _ = stream.set_read_timeout(Some(READ_TICK));
-                            let reader = match stream.try_clone() {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    eprintln!("router[{id}]: cannot clone stream: {e}");
-                                    return;
-                                }
-                            };
-                            let mut input = BufReader::new(reader);
-                            match router_session(
-                                &router,
-                                id,
-                                &mut input,
-                                &mut stream,
-                                &shutdown,
-                                max_frame,
-                                pipeline,
-                            ) {
-                                Ok(_) => eprintln!("router[{id}]: session done"),
-                                Err(e) => eprintln!("router[{id}]: session ended: {e}"),
-                            }
-                        }));
-                        continue; // a burst of clients: accept eagerly
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(format!("accept on {bound} failed: {e}")),
-                }
-            }
-            std::thread::sleep(ACCEPT_TICK);
-        }
+        };
+        let acceptor = Acceptor {
+            who: "router",
+            listener: &listener,
+            sessions,
+            max_idle: opts.max_idle,
+            shutdown: &shutdown,
+            term,
+        };
+        let accepted = acceptor.run(session, |()| {});
 
-        // Drain: no new sessions, let in-flight ones finish, then stop
-        // the workers we own and render the ledger.
-        shutdown.store(true, Ordering::SeqCst);
-        for handle in active {
-            let _ = handle.join();
-        }
+        // Drained: stop the probe and the workers we own, then render
+        // the ledger.
+        drop(stop_probe);
         let _ = probe.join();
         let final_workers: Vec<Arc<Worker>> = router.read_members().workers.clone();
-        for worker in &final_workers {
-            stop_worker(worker);
-        }
+        stop_workers(&final_workers);
         listen.cleanup();
+        let accepted = accepted?;
 
         let ledger = router.ledger();
         eprint!("{}", ledger.summary_lines());
@@ -1304,9 +1266,8 @@ mod socket {
             eprintln!("{}", ledger.to_json());
         }
         Ok(format!(
-            "routed {} request(s) across {} session(s) on {bound} ({} worker(s))\n",
+            "routed {} request(s) across {accepted} session(s) on {bound} ({} worker(s))\n",
             ledger.forwarded(),
-            next_session - 1,
             final_workers.len(),
         ))
     }

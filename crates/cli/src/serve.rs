@@ -47,7 +47,10 @@
 //! session runs on its own thread over the shared engine, so warm requests
 //! answer from the response cache while cold ones plan/execute, and
 //! frames never interleave (each session owns its stream). Stdin is one
-//! sequential session. Shutdown is graceful — in-flight requests finish,
+//! sequential session. The acceptor sleeps until a connection arrives, a
+//! session ends or a signal lands, so a connection is accepted as it
+//! arrives and an idle server makes no wakeups (one `Acceptor`, shared with
+//! `ghr router`). Shutdown is graceful — in-flight requests finish,
 //! sessions drain, then the listener exits — and is triggered by a
 //! `ghr-shutdown` frame on any session, SIGTERM, or `--max-idle SECS`
 //! elapsing with no active session.
@@ -498,32 +501,64 @@ pub fn stats_json(stats: &EngineStats, stages: &[StageTiming], wall_ms: f64) -> 
 #[cfg(unix)]
 pub use socket::{serve_endpoint, serve_socket, ServeOptions};
 
-/// Std-only SIGTERM latch: the handler just stores an atomic flag the
-/// accept loops (serve's and the router's) poll, which is the whole
-/// async-signal-safe repertoire.
+/// Std-only SIGTERM latch: the handler stores an atomic flag and writes
+/// one byte to a process-wide [`Wake`] that nobody clears, which is the
+/// whole async-signal-safe repertoire. Every acceptor waits on that wake,
+/// so a SIGTERM that lands between an acceptor's flag check and its wait
+/// still ends the wait.
+///
+/// [`Wake`]: ghr_types::transport::Wake
 #[cfg(unix)]
 pub(crate) mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use ghr_types::transport::Wake;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::OnceLock;
 
     static TERM: AtomicBool = AtomicBool::new(false);
+    static WAKE: OnceLock<Wake> = OnceLock::new();
+    /// The descriptor the handler writes `WAKE` through; `-1` until
+    /// [`install`] has run.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
     extern "C" fn on_sigterm(_signum: i32) {
         TERM.store(true, Ordering::SeqCst);
+        let fd = WAKE_FD.load(Ordering::SeqCst);
+        if fd >= 0 {
+            // SAFETY: `write(2)` is async-signal-safe, the one-byte
+            // buffer lives on this frame, and the descriptor is
+            // non-blocking and open for the life of the process.
+            unsafe {
+                write(fd, [1u8].as_ptr().cast(), 1);
+            }
+        }
     }
 
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const std::ffi::c_void, count: usize) -> isize;
     }
 
     const SIGTERM: i32 = 15;
 
-    /// Install the handler (and clear any latch from a previous
-    /// server in this process, e.g. back-to-back tests).
-    pub fn install() {
+    /// Install the handler and return the wake it writes to, clearing
+    /// any latch from a previous server in this process (back-to-back
+    /// tests).
+    pub fn install() -> std::io::Result<&'static Wake> {
+        let wake = match WAKE.get() {
+            Some(wake) => wake,
+            None => {
+                let fresh = Wake::new()?;
+                WAKE.get_or_init(|| fresh)
+            }
+        };
         TERM.store(false, Ordering::SeqCst);
+        wake.clear();
+        WAKE_FD.store(wake.signal_fd(), Ordering::SeqCst);
+        // SAFETY: `on_sigterm` touches only atomics and `write(2)`.
         unsafe {
             signal(SIGTERM, on_sigterm);
         }
+        Ok(wake)
     }
 
     pub fn seen() -> bool {
@@ -532,13 +567,16 @@ pub(crate) mod sig {
 }
 
 #[cfg(unix)]
+pub(crate) use socket::Acceptor;
+
+#[cfg(unix)]
 mod socket {
     use super::{serve_session, sig, Admission, ServeSummary, SessionConfig};
     use ghr_core::engine::Engine;
-    use ghr_types::transport::{Endpoint, Stream};
+    use ghr_types::transport::{Endpoint, Listener, Stream, Waited, Wake};
     use ghr_types::SessionStats;
     use std::io::BufReader;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
@@ -546,10 +584,6 @@ mod socket {
     /// How long an idle session sleeps between reads, and therefore the
     /// worst-case latency for a drained session to observe shutdown.
     const READ_TICK: Duration = Duration::from_millis(50);
-
-    /// Acceptor poll interval when all session slots are busy or no
-    /// connection is pending.
-    const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
     /// How the socket server bounds and drains its sessions.
     #[derive(Debug, Clone)]
@@ -601,6 +635,7 @@ mod socket {
         opts: &ServeOptions,
     ) -> Result<String, String> {
         let cap = opts.sessions.max(1);
+        let term = sig::install().map_err(|e| format!("cannot watch SIGTERM: {e}"))?;
         let listener = endpoint
             .bind()
             .map_err(|e| format!("cannot bind {endpoint}: {e}"))?;
@@ -611,7 +646,6 @@ mod socket {
         let bound = listener
             .local_endpoint()
             .unwrap_or_else(|| endpoint.clone());
-        sig::install();
         let shutdown = Arc::new(AtomicBool::new(false));
         let admission = opts
             .max_inflight
@@ -631,63 +665,48 @@ mod socket {
                 None => String::new(),
             }
         );
-        let mut active: Vec<JoinHandle<ServeSummary>> = Vec::new();
-        let mut total = SessionStats::default();
-        let mut drained = 0u64;
-        let mut next_session = 1u64;
-        let mut last_activity = Instant::now();
-        loop {
-            if sig::seen() {
-                shutdown.store(true, Ordering::SeqCst);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            reap_finished(&mut active, &mut total, &mut drained);
-            if !active.is_empty() {
-                last_activity = Instant::now();
-            } else if let Some(idle) = opts.max_idle {
-                if last_activity.elapsed() >= idle {
-                    eprintln!(
-                        "serve: idle for {:.1}s with no session; shutting down",
-                        idle.as_secs_f64()
-                    );
-                    break;
-                }
-            }
-            if active.len() < cap {
-                match listener.accept() {
-                    Ok(stream) => {
-                        last_activity = Instant::now();
-                        let id = next_session;
-                        next_session += 1;
-                        active.push(spawn_session(
-                            engine,
-                            stream,
-                            id,
-                            &shutdown,
-                            admission.clone(),
-                            opts.max_frame,
-                        ));
-                        continue; // a burst of clients: accept eagerly
+        let session = {
+            let engine = Arc::clone(engine);
+            let shutdown = Arc::clone(&shutdown);
+            let admission = admission.clone();
+            let max_frame = opts.max_frame;
+            move |id: u64, input: &mut BufReader<Stream>, out: &mut Stream| {
+                let config = SessionConfig {
+                    max_frame,
+                    admission: admission.as_deref(),
+                };
+                let stderr = &mut std::io::stderr();
+                match serve_session(&engine, id, input, out, stderr, &shutdown, &config) {
+                    Ok(summary) => {
+                        eprintln!(
+                            "serve[{id}]: session done — {}",
+                            summary.stats.summary_line()
+                        );
+                        summary
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(format!("accept on {bound} failed: {e}")),
+                    Err(e) => {
+                        // A vanished client mid-write is a session event,
+                        // not a server fault.
+                        eprintln!("serve[{id}]: session ended: {e}");
+                        ServeSummary::default()
+                    }
                 }
             }
-            std::thread::sleep(ACCEPT_TICK);
-        }
-        // Drain: no new sessions; the flag (plus each session's read
-        // timeout) lets every in-flight session finish its current request
-        // and exit.
-        shutdown.store(true, Ordering::SeqCst);
-        for handle in active {
-            if let Ok(summary) = handle.join() {
-                total.absorb(&summary.stats);
-            }
-            drained += 1;
-        }
+        };
+        let mut total = SessionStats::default();
+        let acceptor = Acceptor {
+            who: "serve",
+            listener: &listener,
+            sessions: cap,
+            max_idle: opts.max_idle,
+            shutdown: &shutdown,
+            term,
+        };
+        let sessions = acceptor.run(session, |summary: ServeSummary| {
+            total.absorb(&summary.stats)
+        });
         endpoint.cleanup();
+        let sessions = sessions?;
         eprintln!("serve: drained — {}", total.summary_line());
         if let Some(admission) = &admission {
             if admission.rejected() > 0 {
@@ -698,84 +717,155 @@ mod socket {
             }
         }
         Ok(format!(
-            "served {} request(s) across {drained} session(s) on {bound}\n",
+            "served {} request(s) across {sessions} session(s) on {bound}\n",
             total.served
         ))
     }
 
-    /// Join every finished session (without blocking on live ones) and
-    /// absorb its counters.
-    fn reap_finished(
-        active: &mut Vec<JoinHandle<ServeSummary>>,
-        total: &mut SessionStats,
-        drained: &mut u64,
-    ) {
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].is_finished() {
-                let handle = active.swap_remove(i);
-                if let Ok(summary) = handle.join() {
-                    total.absorb(&summary.stats);
+    /// The accept loop `ghr serve` and `ghr router` share. It sleeps in
+    /// [`Listener::wait`] until a connection is pending, a session ends,
+    /// SIGTERM arrives, or `max_idle` has passed with no live session, so
+    /// it accepts each connection as it arrives and makes no wakeups of
+    /// its own. A session that reads `ghr-shutdown` sets `shutdown` and
+    /// ends, and its end wakes the loop.
+    pub(crate) struct Acceptor<'a> {
+        /// `serve` or `router`, for log lines.
+        pub who: &'static str,
+        /// A bound, non-blocking listener.
+        pub listener: &'a Listener,
+        /// Live-session cap; further connections wait in the backlog.
+        pub sessions: usize,
+        /// Stop after this long with no live session.
+        pub max_idle: Option<Duration>,
+        /// The drain flag every session watches.
+        pub shutdown: &'a AtomicBool,
+        /// The SIGTERM wake, from [`sig::install`].
+        pub term: &'static Wake,
+    }
+
+    /// A session thread's last act, run by drop even if the session
+    /// panics: count the session out and wake the acceptor.
+    struct Ending {
+        live: Arc<AtomicUsize>,
+        wake: Arc<Wake>,
+    }
+
+    impl Drop for Ending {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            self.wake.wake();
+        }
+    }
+
+    impl Acceptor<'_> {
+        /// Run each accepted connection through `session` on its own
+        /// thread (its id, its buffered input, its output) until
+        /// shutdown, SIGTERM or the idle timeout; then set `shutdown`,
+        /// join every session and hand each result to `absorb`. Returns
+        /// how many sessions ran.
+        pub fn run<T, S>(&self, session: S, mut absorb: impl FnMut(T)) -> Result<u64, String>
+        where
+            T: Send + 'static,
+            S: Fn(u64, &mut BufReader<Stream>, &mut Stream) -> T + Send + Sync + 'static,
+        {
+            let who = self.who;
+            let ended = Arc::new(Wake::new().map_err(|e| format!("{who}: cannot wake: {e}"))?);
+            let live = Arc::new(AtomicUsize::new(0));
+            let session = Arc::new(session);
+            let mut threads: Vec<JoinHandle<T>> = Vec::new();
+            let mut started = 0u64;
+            let mut idle_since = Some(Instant::now());
+            let stopped = loop {
+                ended.clear();
+                if sig::seen() {
+                    self.shutdown.store(true, Ordering::SeqCst);
                 }
-                *drained += 1;
+                if self.shutdown.load(Ordering::SeqCst) {
+                    break Ok(());
+                }
+                reap_finished(&mut threads, &mut absorb);
+                let live_now = live.load(Ordering::SeqCst);
+                let deadline = if live_now > 0 {
+                    idle_since = None;
+                    None
+                } else {
+                    let since = *idle_since.get_or_insert_with(Instant::now);
+                    self.max_idle.map(|idle| since + idle)
+                };
+                let wakes = [&*ended, self.term];
+                let waited = if live_now < self.sessions {
+                    self.listener.wait(&wakes, deadline)
+                } else {
+                    Wake::wait_any(&wakes, deadline)
+                };
+                match waited {
+                    Ok(Waited::Woken) => {}
+                    Ok(Waited::Deadline) => {
+                        eprintln!(
+                            "{who}: idle for {:.1}s with no session; shutting down",
+                            self.max_idle.unwrap_or_default().as_secs_f64()
+                        );
+                        break Ok(());
+                    }
+                    Ok(Waited::Connection) => match self.listener.accept() {
+                        Ok(stream) => {
+                            idle_since = None;
+                            started += 1;
+                            let id = started;
+                            let _ = stream.set_read_timeout(Some(READ_TICK));
+                            let input = match stream.try_clone() {
+                                Ok(reader) => BufReader::new(reader),
+                                Err(e) => {
+                                    eprintln!("{who}[{id}]: cannot clone stream: {e}");
+                                    continue;
+                                }
+                            };
+                            live.fetch_add(1, Ordering::SeqCst);
+                            let ending = Ending {
+                                live: Arc::clone(&live),
+                                wake: Arc::clone(&ended),
+                            };
+                            let session = Arc::clone(&session);
+                            threads.push(std::thread::spawn(move || {
+                                let _ending = ending;
+                                // Declared after `_ending`, so the streams
+                                // close before it wakes the acceptor.
+                                let (mut input, mut out) = (input, stream);
+                                session(id, &mut input, &mut out)
+                            }));
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                        Err(e) => break Err(format!("{who}: accept failed: {e}")),
+                    },
+                    Err(e) => break Err(format!("{who}: wait for connections failed: {e}")),
+                }
+            };
+            // Drain: no new sessions; the flag (plus each session's read
+            // timeout) lets every in-flight session finish its current
+            // request and exit.
+            self.shutdown.store(true, Ordering::SeqCst);
+            for thread in threads {
+                if let Ok(result) = thread.join() {
+                    absorb(result);
+                }
+            }
+            stopped.map(|()| started)
+        }
+    }
+
+    /// Join every finished session thread (without blocking on live
+    /// ones) and absorb its result.
+    fn reap_finished<T>(threads: &mut Vec<JoinHandle<T>>, absorb: &mut impl FnMut(T)) {
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                if let Ok(result) = threads.swap_remove(i).join() {
+                    absorb(result);
+                }
             } else {
                 i += 1;
             }
         }
-    }
-
-    fn spawn_session(
-        engine: &Arc<Engine>,
-        stream: Stream,
-        id: u64,
-        shutdown: &Arc<AtomicBool>,
-        admission: Option<Arc<Admission>>,
-        max_frame: usize,
-    ) -> JoinHandle<ServeSummary> {
-        let engine = Arc::clone(engine);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || {
-            // The read timeout is what lets an idle session notice the
-            // shutdown flag; frames still arrive whole because partial
-            // line bytes survive across timed-out reads.
-            let _ = stream.set_read_timeout(Some(READ_TICK));
-            let reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("serve[{id}]: cannot clone stream: {e}");
-                    return ServeSummary::default();
-                }
-            };
-            let mut input = BufReader::new(reader);
-            let mut writer = stream;
-            let config = SessionConfig {
-                max_frame,
-                admission: admission.as_deref(),
-            };
-            match serve_session(
-                &engine,
-                id,
-                &mut input,
-                &mut writer,
-                &mut std::io::stderr(),
-                &shutdown,
-                &config,
-            ) {
-                Ok(summary) => {
-                    eprintln!(
-                        "serve[{id}]: session done — {}",
-                        summary.stats.summary_line()
-                    );
-                    summary
-                }
-                Err(e) => {
-                    // A vanished client mid-write is a session event, not a
-                    // server fault.
-                    eprintln!("serve[{id}]: session ended: {e}");
-                    ServeSummary::default()
-                }
-            }
-        })
     }
 }
 

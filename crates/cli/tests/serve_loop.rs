@@ -569,10 +569,75 @@ fn idle_server_shuts_itself_down_after_max_idle() {
     };
     let start = Instant::now();
     let result = serve_socket(&engine, &sock.to_string_lossy(), &opts).unwrap();
-    assert!(start.elapsed() >= Duration::from_millis(200));
+    let took = start.elapsed();
+    assert!(took >= Duration::from_millis(200));
+    // A liveness bound, not a timing: the idle deadline ends the wait.
+    assert!(
+        took < Duration::from_millis(200) + Duration::from_secs(2),
+        "idle exit took {took:?}"
+    );
     assert!(result.contains("served 0 request(s)"), "{result}");
     assert!(
         !sock.exists(),
         "socket file must be removed after idle exit"
     );
+}
+
+/// SIGTERM drains an idle spawned `ghr serve`, and an idle `ghr router`
+/// with the two workers it spawned: each exits 0 within a liveness bound
+/// of seconds and removes its socket file.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_an_idle_spawned_serve_and_router() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let dir = std::env::temp_dir().join(format!("ghr-sigterm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (cmd, extra) in [("serve", &[][..]), ("router", &["--workers", "2"][..])] {
+        let sock = dir.join(format!("{cmd}.sock"));
+        let sock_str = sock.to_string_lossy().into_owned();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ghr"))
+            .args([cmd, "--socket", &sock_str, "--no-cache"])
+            .args(extra)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn ghr");
+        let up = Instant::now() + Duration::from_secs(20);
+        while std::os::unix::net::UnixStream::connect(&sock).is_err() {
+            if Instant::now() > up || child.try_wait().unwrap().is_some() {
+                let _ = child.kill();
+                panic!("{cmd} never listened on {sock_str}");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // SAFETY: `kill` only reads its integer arguments.
+        assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("{cmd} did not drain within 20 s of SIGTERM");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(status.success(), "{cmd} exited {status}");
+        assert!(!sock.exists(), "{cmd} left its socket file");
+        for w in 0..2 {
+            let worker = dir.join(format!("{cmd}.sock.w{w}"));
+            assert!(!worker.exists(), "{cmd} left {worker:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,9 @@
 //! [`KernelDescriptor`]-timed GPU point per teams value — then assembles a
 //! [`WorkloadResult`]: the best GPU bandwidth, the CPU roofline over the
 //! same bytes moved, a first-touch placement decision simulated against
-//! the unified-memory page model, and a functional checksum computed with
+//! the unified-memory page model on one page (a fresh allocation touched
+//! by one device populates every page alike, so one page decides; see
+//! [`first_touch_placement`]), and a functional checksum computed with
 //! the real [`ghr_parallel::workloads`] kernels at [`FUNC_M`] elements (so
 //! SIMD regressions show up as a byte-diff in the CLI output, not just a
 //! test failure).
@@ -137,13 +139,24 @@ pub fn cpu_workload_gbps(rt: &OmpRuntime, kind: WorkloadKind, case: Case, m: u64
 /// page model: whichever side wins the roofline touches the freshly
 /// allocated input first, and the pages populate where that device is
 /// local — the residency the simulator reports back is the placement.
+///
+/// Only the first `min(input_bytes, page size)` bytes are simulated, so a
+/// request costs one page whatever its `--m`. That is exact today: a
+/// fresh, unadvised allocation touched once by one device populates every
+/// page alike, where that device is local (the paper's Section IV; Li &
+/// Wang, arXiv:2501.00279), so page 0 of a one-page region reads what
+/// page 0 of the whole array would. It holds only while `ghr-mem` has no
+/// HBM capacity. Capacity-aware unified memory (see ROADMAP.md) must
+/// revisit it: once a GPU first touch past capacity populates LPDDR5X, a
+/// large array's placement splits, and this must simulate, or compute,
+/// the split.
 pub fn first_touch_placement(
     um: &mut UnifiedMemory,
     input_bytes: u64,
     gpu_gbps: f64,
     cpu_gbps: f64,
 ) -> Placement {
-    let len = Bytes(input_bytes.max(1));
+    let len = Bytes(input_bytes.clamp(1, um.page_size().0));
     let id = um.alloc(len);
     let toucher = if gpu_gbps >= cpu_gbps {
         Device::GPU0
@@ -259,6 +272,50 @@ mod tests {
         let cpu_won = first_touch_placement(&mut um, 1 << 20, 100.0, 450.0);
         assert_eq!(cpu_won, Placement::Host);
         assert!(um.is_empty(), "placement probes must free their regions");
+    }
+
+    /// The one-page decision against the whole array: an oracle that
+    /// allocates every page, touches all of them from the roofline
+    /// winner and reads page 0.
+    #[test]
+    fn one_page_placement_matches_a_full_range_simulation() {
+        const GIB: u64 = 1 << 30;
+        // `dot c1 --m 77309411328`, the largest array the machine check
+        // accepts: two 309 GB input streams.
+        const LARGEST: u64 = 2 * 77_309_411_328 * 4;
+        let full_range = |machine: &MachineConfig, bytes: u64, toucher: Device| {
+            let mut um = UnifiedMemory::new(machine);
+            let len = Bytes(bytes.max(1));
+            let id = um.alloc(len);
+            um.access(toucher, id, Bytes(0), len);
+            match um.residency_at(id, Bytes(0)) {
+                Residency::Gpu => Placement::Device,
+                Residency::Cpu | Residency::Untouched => Placement::Host,
+            }
+        };
+        for machine in [MachineConfig::gh200(), MachineConfig::x86_pcie()] {
+            let page = machine.page_size.0;
+            let mut sizes = vec![1, page - 1, page, page + 1, GIB];
+            // The oracle keeps a 16-byte state per page: 618 GB is 151 MB
+            // of them at gh200's 64 KiB pages, but 2.4 GB at x86_pcie's
+            // 4 KiB pages, too much for a unit test.
+            if page >= 64 << 10 {
+                sizes.push(LARGEST);
+            }
+            for bytes in sizes {
+                for (gpu_gbps, toucher, want) in [
+                    (3000.0, Device::GPU0, Placement::Device),
+                    (100.0, Device::Host, Placement::Host),
+                ] {
+                    let mut um = UnifiedMemory::new(&machine);
+                    let got = first_touch_placement(&mut um, bytes, gpu_gbps, 450.0);
+                    let what = format!("{bytes} bytes, {page}-byte pages");
+                    assert_eq!(got, full_range(&machine, bytes, toucher), "{what}");
+                    assert_eq!(got, want, "{what}");
+                    assert!(um.is_empty(), "{what}: the probe must free its region");
+                }
+            }
+        }
     }
 
     #[test]

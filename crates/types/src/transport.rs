@@ -22,6 +22,11 @@
 //! byte-diffs a routed response over unix against the same response
 //! over TCP.
 //!
+//! An acceptor sleeps in [`Listener::wait`] until a connection is
+//! pending, a [`Wake`] is woken (a session ended, a signal arrived), or
+//! its deadline passes: one `poll(2)`, so an idle server makes no
+//! periodic wakeups and a connection is accepted as it arrives.
+//!
 //! ## Security posture
 //!
 //! The wire protocol is unauthenticated, so exposure is controlled at
@@ -35,8 +40,12 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
+use std::os::unix::io::{AsRawFd, RawFd};
+#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
+#[cfg(unix)]
+use std::time::Instant;
 
 /// How long a TCP connect attempt waits before the peer is declared
 /// unreachable. A dead cross-host worker must fail fast enough for the
@@ -288,14 +297,28 @@ impl Listener {
         }
     }
 
-    /// Switch the listener to non-blocking accepts (the accept loops
-    /// poll so they can watch the shutdown flag).
+    /// Switch the listener to non-blocking accepts. An acceptor that
+    /// [`Listener::wait`]s before it accepts sets this, so an accept
+    /// never blocks even when a pending connection vanishes first.
     pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
             Listener::Unix(l) => l.set_nonblocking(nonblocking),
             Listener::Tcp(l) => l.set_nonblocking(nonblocking),
         }
+    }
+
+    /// Block until a connection is pending here, one of `wakes` is
+    /// woken, or `deadline` passes (`None` waits without one). A wake
+    /// wins over a pending connection, so the caller checks its flags
+    /// before it takes a new session.
+    #[cfg(unix)]
+    pub fn wait(&self, wakes: &[&Wake], deadline: Option<Instant>) -> std::io::Result<Waited> {
+        let fd = match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        };
+        poll::wait(Some(fd), wakes, deadline)
     }
 
     /// The actually bound address — for TCP with port 0 this is where
@@ -309,6 +332,181 @@ impl Listener {
             }),
             Listener::Tcp(l) => l.local_addr().ok().map(|a| Endpoint::Tcp(a.to_string())),
         }
+    }
+}
+
+/// What ended a [`Listener::wait`] or [`Wake::wait_any`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Waited {
+    /// A connection is pending on the listener.
+    Connection,
+    /// A wake was woken, or a signal interrupted the wait: the caller
+    /// re-checks whatever it waits for.
+    Woken,
+    /// The deadline passed.
+    Deadline,
+}
+
+/// A wake-up for a thread blocked in [`Listener::wait`]: a socket pair
+/// whose read end the wait watches. [`Wake::wake`] writes a byte, and
+/// the wait returns until [`Wake::clear`] reads the bytes back. A wake
+/// that is never cleared ends every later wait at once, which is what a
+/// shutdown signal wants.
+#[cfg(unix)]
+#[derive(Debug)]
+pub struct Wake {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+#[cfg(unix)]
+impl Wake {
+    /// A fresh wake, not yet woken.
+    pub fn new() -> std::io::Result<Wake> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Wake { rx, tx })
+    }
+
+    /// Wake the waiter. Never blocks: a full buffer already holds a
+    /// wake.
+    pub fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Forget every wake so far. An acceptor clears its wake *before* it
+    /// checks what woke it, so a wake that lands between that check and
+    /// the next wait still ends the wait.
+    pub fn clear(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+
+    /// The descriptor [`Wake::wake`] writes to. A signal handler may
+    /// wake a waiter by writing one byte to it: `write(2)` is
+    /// async-signal-safe and the descriptor never blocks.
+    pub fn signal_fd(&self) -> RawFd {
+        self.tx.as_raw_fd()
+    }
+
+    /// Block until one of `wakes` is woken or `deadline` passes: an
+    /// acceptor whose session slots are all taken, so a pending
+    /// connection must not end its wait.
+    pub fn wait_any(wakes: &[&Wake], deadline: Option<Instant>) -> std::io::Result<Waited> {
+        poll::wait(None, wakes, deadline)
+    }
+}
+
+/// Block until the far end of `fd` closes — every reader of a pipe's
+/// write end, or a socket's peer — or `deadline` passes; whether it
+/// closed. The router waits this way on the write end of a spawned
+/// worker's stdin, which only the worker's exit closes.
+#[cfg(unix)]
+pub fn wait_closed(fd: &impl AsRawFd, deadline: Instant) -> std::io::Result<bool> {
+    poll::closed(fd.as_raw_fd(), deadline)
+}
+
+/// `poll(2)` over std's descriptors, std-only like the store's `flock`.
+#[cfg(unix)]
+mod poll {
+    use super::{Waited, Wake};
+    use std::os::raw::{c_int, c_short};
+    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::time::Instant;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    const POLLIN: c_short = 0x1;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Poll `fds` until one is ready (`true`) or `deadline` passes
+    /// (`false`). A signal's interruption counts as ready with no
+    /// `revents`, so the caller re-checks its flags.
+    fn until(fds: &mut [PollFd], deadline: Option<Instant>) -> std::io::Result<bool> {
+        loop {
+            let timeout = match deadline {
+                None => -1,
+                // Rounded up, so a wait never ends before its deadline.
+                Some(d) => d
+                    .saturating_duration_since(Instant::now())
+                    .as_nanos()
+                    .div_ceil(1_000_000)
+                    .min(c_int::MAX as u128) as c_int,
+            };
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `fds.len()` `pollfd`s for the duration of the call.
+            let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout) };
+            if ready > 0 {
+                return Ok(true);
+            }
+            if ready < 0 {
+                let err = std::io::Error::last_os_error();
+                return match err.kind() {
+                    std::io::ErrorKind::Interrupted => Ok(true),
+                    _ => Err(err),
+                };
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Ok(false);
+            }
+        }
+    }
+
+    pub(super) fn wait(
+        listener: Option<RawFd>,
+        wakes: &[&Wake],
+        deadline: Option<Instant>,
+    ) -> std::io::Result<Waited> {
+        let mut fds: Vec<PollFd> = wakes
+            .iter()
+            .map(|w| w.rx.as_raw_fd())
+            .chain(listener)
+            .map(|fd| PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            })
+            .collect();
+        if !until(&mut fds, deadline)? {
+            return Ok(Waited::Deadline);
+        }
+        let (wake_fds, listener_fd) = fds.split_at(wakes.len());
+        let pending = listener_fd.first().is_some_and(|p| p.revents != 0);
+        Ok(if pending && wake_fds.iter().all(|p| p.revents == 0) {
+            Waited::Connection
+        } else {
+            Waited::Woken
+        })
+    }
+
+    pub(super) fn closed(fd: RawFd, deadline: Instant) -> std::io::Result<bool> {
+        // No events asked: only a hang-up, an error or a bad descriptor
+        // can be reported.
+        let mut fds = [PollFd {
+            fd,
+            events: 0,
+            revents: 0,
+        }];
+        while until(&mut fds, Some(deadline))? {
+            if fds[0].revents != 0 {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -412,6 +610,100 @@ mod tests {
         }
         unix.cleanup();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bound unix endpoint under a per-test temp dir, listening
+    /// non-blocking as the acceptors do.
+    #[cfg(unix)]
+    fn waiting_listener(tag: &str) -> (std::path::PathBuf, Listener) {
+        let dir = std::env::temp_dir().join(format!("ghr-wait-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ep = Endpoint::unix(dir.join("w.sock").to_string_lossy().into_owned());
+        let listener = ep.bind().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        (dir, listener)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wait_returns_a_pending_connection_on_both_transports() {
+        let (dir, unix) = waiting_listener("pending");
+        let tcp = Endpoint::tcp("127.0.0.1:0").unwrap().bind().unwrap();
+        tcp.set_nonblocking(true).unwrap();
+        let wake = Wake::new().unwrap();
+        for listener in [unix, tcp] {
+            let _client = listener.local_endpoint().unwrap().connect().unwrap();
+            // The deadline is only a liveness bound.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            // With every slot taken the acceptor waits on wakes alone,
+            // and a pending connection does not end that wait.
+            let full = Wake::wait_any(&[&wake], Some(Instant::now() + Duration::from_millis(20)));
+            assert_eq!(full.unwrap(), Waited::Deadline);
+            assert_eq!(
+                listener.wait(&[&wake], Some(deadline)).unwrap(),
+                Waited::Connection
+            );
+            assert!(listener.accept().is_ok(), "a pending connection accepts");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wait_without_deadline_returns_on_a_wake_from_another_thread() {
+        let (dir, listener) = waiting_listener("woken");
+        let wake = std::sync::Arc::new(Wake::new().unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let wake = std::sync::Arc::clone(&wake);
+            std::thread::spawn(move || {
+                let _ = tx.send(listener.wait(&[&wake], None).unwrap());
+                listener
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        wake.wake();
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            got,
+            Ok(Waited::Woken),
+            "the wake must end a deadline-free wait"
+        );
+        let listener = waiter.join().unwrap();
+        // A wake stays woken until cleared; cleared, it no longer ends a
+        // wait.
+        let soon = || Some(Instant::now() + Duration::from_millis(20));
+        assert_eq!(listener.wait(&[&wake], soon()).unwrap(), Waited::Woken);
+        wake.clear();
+        assert_eq!(listener.wait(&[&wake], soon()).unwrap(), Waited::Deadline);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wait_returns_at_its_deadline() {
+        let (dir, listener) = waiting_listener("deadline");
+        let wake = Wake::new().unwrap();
+        let t0 = Instant::now();
+        let deadline = t0 + Duration::from_millis(100);
+        assert_eq!(
+            listener.wait(&[&wake], Some(deadline)).unwrap(),
+            Waited::Deadline
+        );
+        assert!(Instant::now() >= deadline, "returned before its deadline");
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wait_closed_sees_the_far_end_close() {
+        let (near, far) = UnixStream::pair().unwrap();
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert!(!wait_closed(&near, soon).unwrap(), "the far end is open");
+        drop(far);
+        let bound = Instant::now() + Duration::from_secs(10);
+        assert!(wait_closed(&near, bound).unwrap());
     }
 
     #[test]

@@ -13,11 +13,14 @@
 #      evals>0) and carry the same functional checksum line.
 #      (scripts/workload_smoke.sh compares the checksums across SIMD
 #      backends.)
-#   3. concurrent: start `ghr serve --socket --sessions 4`, hammer it
-#      with four background clients sending overlapping request ids,
-#      require warm duplicates to report evals=0 and byte-identical
-#      bodies, then stop the server with SIGTERM and require a clean
-#      drain (exit 0, socket file removed).
+#   3. concurrent: start `ghr serve --socket --sessions 4`, require it
+#      to sleep while idle (fewer than 20 voluntary context switches in
+#      2 s with no client, summed over its threads: it waits for
+#      connections instead of polling), hammer it with four background
+#      clients sending overlapping request ids, require warm duplicates
+#      to report evals=0 and byte-identical bodies, then stop the server
+#      with SIGTERM and require a clean drain (exit 0, socket file
+#      removed).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -150,6 +153,26 @@ while [ ! -S "$SOCK" ]; do
     fi
     sleep 0.05
 done
+
+# An idle server sleeps until a connection or a signal arrives. This
+# counts wakeups; it times nothing.
+switches() {
+    cat /proc/"$SRV"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'
+}
+if [ -d "/proc/$SRV/task" ]; then
+    echo "==> idle server: fewer than 20 voluntary context switches in 2 s"
+    before=$(switches)
+    sleep 2
+    idle=$(( $(switches) - before ))
+    echo "idle server: $idle voluntary context switches in 2 s"
+    if [ "$idle" -ge 20 ]; then
+        echo "FAIL: an idle server with no client woke $idle times in 2 s" >&2
+        kill "$SRV"
+        exit 1
+    fi
+else
+    echo "==> idle wakeup check needs /proc; not run on this platform"
+fi
 
 # Warm the response cache with one cold table1, then race four clients
 # whose batches all duplicate it (and race each other on whatif).

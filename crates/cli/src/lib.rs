@@ -25,14 +25,16 @@
 //! Every experiment command routes through the engine's declarative
 //! pipeline: the command resolves to a [`ghr_core::Request`], the planner
 //! lowers it into a deduplicated DAG of cacheable work items, and the
-//! executor walks that DAG on the worker pool. `ghr plan <command>`
-//! prints the lowered DAG without executing anything; `ghr serve` keeps
+//! executor walks that DAG, fanning each stage across threads.
+//! `ghr plan <command>` prints the lowered DAG without executing
+//! anything; `ghr serve` keeps
 //! one engine warm across many requests so repeats are answered from the
 //! response cache with zero re-planning (see [`serve`]).
 //!
-//! Every command accepts the global flags `--threads N` (worker threads
-//! for the evaluation engine; default `GHR_THREADS`, then the host's
-//! available parallelism; `--threads 1` forces the serial reference path),
+//! Every command accepts the global flags `--threads N` (at most N
+//! threads per engine fan stage, the caller included; default
+//! `GHR_THREADS`, then the host's available parallelism; `--threads 1`
+//! forces the serial reference path),
 //! `--stats` (append engine counters — points evaluated, cache hit
 //! rate, persistent-store traffic, wall time — to the output) and
 //! `--stats-json` (emit the same counters plus per-stage executor timings
@@ -899,7 +901,7 @@ fn cmd_client(rest: &[String]) -> Result<String, String> {
         .write_all(payload.as_bytes())
         .map_err(|e| format!("write to {endpoint} failed: {e}"))?;
     stream
-        .shutdown_write()
+        .shutdown(std::net::Shutdown::Write)
         .map_err(|e| format!("cannot half-close {endpoint}: {e}"))?;
     let mut out = String::new();
     stream
@@ -1323,7 +1325,7 @@ struct BenchOpts {
     /// Pin the unroll factor instead of sweeping the default set.
     v: Option<usize>,
     /// Pin the kernel worker-thread count (`--threads` already names the
-    /// evaluation engine's pool, hence the distinct flag).
+    /// evaluation engine's fan width, hence the distinct flag).
     kernel_threads: Option<usize>,
 }
 

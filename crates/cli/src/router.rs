@@ -352,7 +352,7 @@ pub fn run_router(_opts: &RouterOptions) -> Result<String, String> {
 #[cfg(unix)]
 mod socket {
     use super::{HashRing, RouterOptions};
-    use crate::serve::{self, sig, Acceptor, Admission, RawRead};
+    use crate::serve::{self, sig, Acceptor, Admission};
     use ghr_types::transport::wait_closed;
     use ghr_types::wire::{self, Frame};
     use ghr_types::{Endpoint, RequestId, RouterStats, RouterWorkerStats, Stream};
@@ -900,23 +900,15 @@ mod socket {
                 s.settle_front();
                 continue;
             }
-            match serve::read_raw_line(input, &mut buf, hard_cap) {
-                RawRead::Pending => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    continue;
+            if !serve::read_raw_line(input, &mut buf, hard_cap) {
+                // A partial line cut off by the drain is not rejected.
+                if !buf.is_empty() && !shutdown.load(Ordering::SeqCst) {
+                    router.malformed.fetch_add(1, Ordering::Relaxed);
+                    s.slots.push_back(Slot::Ready(
+                        Frame::error(wire::REASON_TRUNCATED).into_bytes(),
+                    ));
                 }
-                RawRead::Eof => {
-                    if !buf.is_empty() {
-                        router.malformed.fetch_add(1, Ordering::Relaxed);
-                        s.slots.push_back(Slot::Ready(
-                            Frame::error(wire::REASON_TRUNCATED).into_bytes(),
-                        ));
-                    }
-                    break;
-                }
-                RawRead::Line => {}
+                break;
             }
             let line = match serve::classify_line(&buf, max_frame) {
                 Ok(s) => s.trim().to_string(),

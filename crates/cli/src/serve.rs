@@ -186,42 +186,22 @@ pub struct ServeSummary {
     pub stats: SessionStats,
 }
 
-/// Result of one raw line read.
-pub(crate) enum RawRead {
-    /// End of input (the accumulated partial line, if any, is truncated).
-    Eof,
-    /// A complete newline-terminated line is in the buffer.
-    Line,
-    /// No data right now (socket read timeout); partial bytes are kept.
-    Pending,
-}
-
-/// Append raw bytes into `buf` until a newline, EOF, or read timeout.
-/// The newline itself is consumed but not stored. Bytes beyond `hard_cap`
-/// are consumed but dropped (the stored prefix is enough to reject the
-/// line as oversized). Hard I/O errors read as EOF — for a socket that is
-/// a vanished client, not a server fault.
-pub(crate) fn read_raw_line(
-    input: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    hard_cap: usize,
-) -> RawRead {
+/// Append raw bytes into `buf` until a newline or EOF; whether a
+/// complete line arrived (`false` is EOF, and any bytes left in `buf`
+/// are a truncated line). The newline itself is consumed but not
+/// stored. Bytes beyond `hard_cap` are consumed but dropped (the stored
+/// prefix is enough to reject the line as oversized). Hard I/O errors
+/// read as EOF — for a socket that is a vanished client, not a server
+/// fault.
+pub(crate) fn read_raw_line(input: &mut impl BufRead, buf: &mut Vec<u8>, hard_cap: usize) -> bool {
     loop {
         let chunk = match input.fill_buf() {
             Ok(c) => c,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return RawRead::Pending;
-            }
-            Err(_) => return RawRead::Eof,
+            Err(_) => return false,
         };
         if chunk.is_empty() {
-            return RawRead::Eof;
+            return false;
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
         let upto = newline.unwrap_or(chunk.len());
@@ -234,7 +214,7 @@ pub(crate) fn read_raw_line(
         }
         input.consume(upto + usize::from(newline.is_some()));
         if newline.is_some() {
-            return RawRead::Line;
+            return true;
         }
     }
 }
@@ -258,8 +238,10 @@ pub(crate) fn classify_line(buf: &[u8], max_frame: usize) -> Result<&str, &'stat
 /// `out` (owned by this session — frames from concurrent sessions never
 /// interleave); one human-readable log line per request goes to `err`.
 /// `shutdown` is the server-wide drain flag: the session observes it
-/// between requests (and on socket read timeouts) and exits promptly; a
-/// `ghr-shutdown` frame *sets* it, draining every session.
+/// between requests and exits promptly; a `ghr-shutdown` frame *sets*
+/// it, draining every session. A drain also ends a session blocked
+/// reading an idle client (the acceptor shuts its read side down), and
+/// a partial line cut off that way is not rejected.
 pub fn serve_session(
     engine: &Engine,
     session: u64,
@@ -276,27 +258,17 @@ pub fn serve_session(
     // pathological line still cannot balloon memory.
     let hard_cap = HARD_LINE_CAP.max(config.max_frame.saturating_add(1));
     loop {
-        match read_raw_line(input, &mut buf, hard_cap) {
-            RawRead::Pending => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
+        if !read_raw_line(input, &mut buf, hard_cap) {
+            if !buf.is_empty() && !shutdown.load(Ordering::SeqCst) {
+                summary.stats.malformed += 1;
+                send(out, &Frame::error(wire::REASON_TRUNCATED))?;
+                let _ = writeln!(
+                    err,
+                    "serve[{session}]: rejected malformed frame ({})",
+                    wire::REASON_TRUNCATED
+                );
             }
-            RawRead::Eof => {
-                if !buf.is_empty() {
-                    summary.stats.malformed += 1;
-                    send(out, &Frame::error(wire::REASON_TRUNCATED))?;
-                    let _ = writeln!(
-                        err,
-                        "serve[{session}]: rejected malformed frame ({})",
-                        wire::REASON_TRUNCATED
-                    );
-                    buf.clear();
-                }
-                break;
-            }
-            RawRead::Line => {}
+            break;
         }
         let line = match classify_line(&buf, config.max_frame) {
             Ok(s) => s.to_string(),
@@ -576,14 +548,11 @@ mod socket {
     use ghr_types::transport::{Endpoint, Listener, Stream, Waited, Wake};
     use ghr_types::SessionStats;
     use std::io::BufReader;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::net::Shutdown;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
-
-    /// How long an idle session sleeps between reads, and therefore the
-    /// worst-case latency for a drained session to observe shutdown.
-    const READ_TICK: Duration = Duration::from_millis(50);
 
     /// How the socket server bounds and drains its sessions.
     #[derive(Debug, Clone)]
@@ -727,7 +696,9 @@ mod socket {
     /// SIGTERM arrives, or `max_idle` has passed with no live session, so
     /// it accepts each connection as it arrives and makes no wakeups of
     /// its own. A session that reads `ghr-shutdown` sets `shutdown` and
-    /// ends, and its end wakes the loop.
+    /// ends, and its end wakes the loop. Sessions block in their reads
+    /// with no timeout; the drain ends those reads by shutting each live
+    /// session's read side down.
     pub(crate) struct Acceptor<'a> {
         /// `serve` or `router`, for log lines.
         pub who: &'static str,
@@ -743,16 +714,27 @@ mod socket {
         pub term: &'static Wake,
     }
 
+    /// A handle on each live session's stream, by session id: their
+    /// count is the live-session count, and the drain shuts their read
+    /// sides down.
+    type Live = Mutex<Vec<(u64, Stream)>>;
+
+    fn lock(live: &Live) -> MutexGuard<'_, Vec<(u64, Stream)>> {
+        live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A session thread's last act, run by drop even if the session
-    /// panics: count the session out and wake the acceptor.
+    /// panics: count the session out (closing the acceptor's handle on
+    /// its stream) and wake the acceptor.
     struct Ending {
-        live: Arc<AtomicUsize>,
+        id: u64,
+        live: Arc<Live>,
         wake: Arc<Wake>,
     }
 
     impl Drop for Ending {
         fn drop(&mut self) {
-            self.live.fetch_sub(1, Ordering::SeqCst);
+            lock(&self.live).retain(|(id, _)| *id != self.id);
             self.wake.wake();
         }
     }
@@ -770,7 +752,7 @@ mod socket {
         {
             let who = self.who;
             let ended = Arc::new(Wake::new().map_err(|e| format!("{who}: cannot wake: {e}"))?);
-            let live = Arc::new(AtomicUsize::new(0));
+            let live: Arc<Live> = Arc::default();
             let session = Arc::new(session);
             let mut threads: Vec<JoinHandle<T>> = Vec::new();
             let mut started = 0u64;
@@ -784,7 +766,7 @@ mod socket {
                     break Ok(());
                 }
                 reap_finished(&mut threads, &mut absorb);
-                let live_now = live.load(Ordering::SeqCst);
+                let live_now = lock(&live).len();
                 let deadline = if live_now > 0 {
                     idle_since = None;
                     None
@@ -812,16 +794,16 @@ mod socket {
                             idle_since = None;
                             started += 1;
                             let id = started;
-                            let _ = stream.set_read_timeout(Some(READ_TICK));
-                            let input = match stream.try_clone() {
-                                Ok(reader) => BufReader::new(reader),
-                                Err(e) => {
+                            let (input, handle) = match (stream.try_clone(), stream.try_clone()) {
+                                (Ok(reader), Ok(handle)) => (BufReader::new(reader), handle),
+                                (Err(e), _) | (_, Err(e)) => {
                                     eprintln!("{who}[{id}]: cannot clone stream: {e}");
                                     continue;
                                 }
                             };
-                            live.fetch_add(1, Ordering::SeqCst);
+                            lock(&live).push((id, handle));
                             let ending = Ending {
+                                id,
                                 live: Arc::clone(&live),
                                 wake: Arc::clone(&ended),
                             };
@@ -840,10 +822,14 @@ mod socket {
                     Err(e) => break Err(format!("{who}: wait for connections failed: {e}")),
                 }
             };
-            // Drain: no new sessions; the flag (plus each session's read
-            // timeout) lets every in-flight session finish its current
-            // request and exit.
+            // Drain: no new sessions; the flag lets every in-flight
+            // session finish its current request and exit, and shutting
+            // the read sides down ends every read still waiting on an
+            // idle client with EOF.
             self.shutdown.store(true, Ordering::SeqCst);
+            for (_, stream) in lock(&live).iter() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
             for thread in threads {
                 if let Ok(result) = thread.join() {
                     absorb(result);
@@ -928,6 +914,30 @@ mod tests {
         assert!(summary.quit);
         assert!(shutdown.load(Ordering::SeqCst), "shutdown flag must latch");
         assert!(out.is_empty(), "{:?}", String::from_utf8(out));
+    }
+
+    #[test]
+    fn a_partial_line_cut_off_by_the_drain_is_not_rejected() {
+        let e = engine();
+        for (draining, frames) in [(false, 1), (true, 0)] {
+            let shutdown = AtomicBool::new(draining);
+            let mut input = BufReader::new("table".as_bytes());
+            let mut out = Vec::new();
+            let mut err = Vec::new();
+            let summary = serve_session(
+                &e,
+                3,
+                &mut input,
+                &mut out,
+                &mut err,
+                &shutdown,
+                &SessionConfig::default(),
+            )
+            .unwrap();
+            let out = String::from_utf8(out).unwrap();
+            assert_eq!(out.matches(wire::REASON_TRUNCATED).count(), frames, "{out}");
+            assert_eq!(summary.stats.malformed, frames as u64);
+        }
     }
 
     #[test]

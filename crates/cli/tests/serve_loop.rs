@@ -583,15 +583,64 @@ fn idle_server_shuts_itself_down_after_max_idle() {
     );
 }
 
+/// Spawn `ghr <cmd> --socket <sock> --no-cache <extra>` with its output
+/// discarded, and wait (20 s at most) until it accepts a connection.
+#[cfg(unix)]
+fn spawn_listening(cmd: &str, sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ghr"))
+        .arg(cmd)
+        .arg("--socket")
+        .arg(sock)
+        .arg("--no-cache")
+        .args(extra)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ghr");
+    let up = Instant::now() + Duration::from_secs(20);
+    while std::os::unix::net::UnixStream::connect(sock).is_err() {
+        if Instant::now() > up || child.try_wait().unwrap().is_some() {
+            let _ = child.kill();
+            panic!("{cmd} never listened on {sock:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child
+}
+
+/// Wait until a spawned server exits 0 (`within` is a liveness bound,
+/// not a timing), then require its socket file gone.
+#[cfg(unix)]
+fn drains_cleanly(
+    mut child: std::process::Child,
+    cmd: &str,
+    sock: &std::path::Path,
+    within: std::time::Duration,
+) {
+    let deadline = std::time::Instant::now() + within;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{cmd} did not drain within {within:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert!(status.success(), "{cmd} exited {status}");
+    assert!(!sock.exists(), "{cmd} left its socket file");
+}
+
 /// SIGTERM drains an idle spawned `ghr serve`, and an idle `ghr router`
 /// with the two workers it spawned: each exits 0 within a liveness bound
 /// of seconds and removes its socket file.
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_an_idle_spawned_serve_and_router() {
-    use std::process::{Command, Stdio};
-    use std::time::{Duration, Instant};
-
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;
     }
@@ -602,42 +651,53 @@ fn sigterm_drains_an_idle_spawned_serve_and_router() {
     std::fs::create_dir_all(&dir).unwrap();
     for (cmd, extra) in [("serve", &[][..]), ("router", &["--workers", "2"][..])] {
         let sock = dir.join(format!("{cmd}.sock"));
-        let sock_str = sock.to_string_lossy().into_owned();
-        let mut child = Command::new(env!("CARGO_BIN_EXE_ghr"))
-            .args([cmd, "--socket", &sock_str, "--no-cache"])
-            .args(extra)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn ghr");
-        let up = Instant::now() + Duration::from_secs(20);
-        while std::os::unix::net::UnixStream::connect(&sock).is_err() {
-            if Instant::now() > up || child.try_wait().unwrap().is_some() {
-                let _ = child.kill();
-                panic!("{cmd} never listened on {sock_str}");
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let child = spawn_listening(cmd, &sock, extra);
         // SAFETY: `kill` only reads its integer arguments.
         assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let status = loop {
-            if let Some(status) = child.try_wait().unwrap() {
-                break status;
-            }
-            if Instant::now() > deadline {
-                let _ = child.kill();
-                panic!("{cmd} did not drain within 20 s of SIGTERM");
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert!(status.success(), "{cmd} exited {status}");
-        assert!(!sock.exists(), "{cmd} left its socket file");
+        drains_cleanly(child, cmd, &sock, std::time::Duration::from_secs(20));
         for w in 0..2 {
             let worker = dir.join(format!("{cmd}.sock.w{w}"));
             assert!(!worker.exists(), "{cmd} left {worker:?}");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `ghr-shutdown` from a second connection drains a spawned `ghr
+/// serve` and a `ghr router --workers 1` while a first client stays
+/// connected and silent: each server ends that client's blocked read,
+/// exits 0 within a liveness bound of seconds and removes its socket
+/// file, and the silent client reads EOF.
+#[cfg(unix)]
+#[test]
+fn shutdown_frame_drains_a_server_holding_a_silent_client() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join(format!("ghr-silent-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (cmd, extra) in [
+        ("serve", &["--sessions", "2"][..]),
+        ("router", &["--workers", "1"][..]),
+    ] {
+        let sock = dir.join(format!("{cmd}.sock"));
+        let child = spawn_listening(cmd, &sock, extra);
+        // Accepted in connect order, so the silent client holds a
+        // session before the shutdown line arrives.
+        let mut silent = UnixStream::connect(&sock).unwrap();
+        let mut control = UnixStream::connect(&sock).unwrap();
+        control.write_all(b"ghr-shutdown\n").unwrap();
+        drains_cleanly(child, cmd, &sock, Duration::from_secs(10));
+        silent
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        silent
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("{cmd}: the silent client must read EOF: {e}"));
+        assert!(rest.is_empty(), "{cmd} sent the silent client {rest:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

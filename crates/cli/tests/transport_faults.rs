@@ -102,7 +102,7 @@ fn await_endpoint(ep: &Endpoint) {
 fn client(ep: &Endpoint, lines: &str) -> String {
     let mut stream = ep.connect().expect("connect");
     stream.write_all(lines.as_bytes()).unwrap();
-    stream.shutdown_write().unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
     out
@@ -443,7 +443,7 @@ fn client_side_battery(tcp: bool) {
             stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
-        stream.shutdown_write().unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         let frames = parse_frames(&out);
@@ -471,7 +471,7 @@ fn client_side_battery(tcp: bool) {
     ] {
         let mut stream = listen.connect().unwrap();
         stream.write_all(&payload).unwrap();
-        stream.shutdown_write().unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         assert_eq!(

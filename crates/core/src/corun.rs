@@ -30,6 +30,7 @@
 //! memory simultaneously.
 
 use crate::case::Case;
+use crate::explain::RepTrace;
 use crate::pricing::LegPricer;
 use crate::reduction::{KernelKind, ReductionSpec};
 use crate::report::{fmt_gbps, Table};
@@ -148,25 +149,7 @@ pub struct CorunSeries {
 
 /// Run one co-execution series.
 pub fn run_corun(machine: &MachineConfig, config: &CorunConfig) -> Result<CorunSeries> {
-    let runner = SeriesRunner::new(machine, config);
-    let mut um = UnifiedMemory::new(machine);
-    let mut rid: Option<RegionId> = None;
-    if config.alloc == AllocSite::A1 {
-        rid = Some(alloc_and_init(&mut um, runner.total_bytes));
-    }
-
-    let mut points = Vec::with_capacity(config.p_steps as usize + 1);
-    for i in 0..=config.p_steps {
-        if config.alloc == AllocSite::A2 {
-            if let Some(old) = rid.take() {
-                um.free(old);
-            }
-            rid = Some(alloc_and_init(&mut um, runner.total_bytes));
-        }
-        let rid = rid.expect("region allocated");
-        points.push(runner.eval_point(&mut um, rid, i)?);
-    }
-
+    let points = SeriesRunner::new(machine, config).run_to(config.p_steps, |_, _| {})?;
     Ok(CorunSeries {
         config: *config,
         points,
@@ -180,7 +163,7 @@ pub fn run_corun(machine: &MachineConfig, config: &CorunConfig) -> Result<CorunS
 /// point `i` against a fresh [`UnifiedMemory`] is byte-identical to what
 /// the sequential loop in [`run_corun`] produces for that index. That makes
 /// each of the 11 points an independent, cacheable work item the engine
-/// fans across its pool. A1 series carry allocation state across `p` and
+/// fans across threads. A1 series carry allocation state across `p` and
 /// must stay sequential; asking for an A1 point here is rejected.
 pub fn run_corun_point(
     machine: &MachineConfig,
@@ -206,12 +189,14 @@ pub fn run_corun_point(
     let runner = SeriesRunner::new(machine, config);
     let mut um = UnifiedMemory::new(machine);
     let rid = alloc_and_init(&mut um, runner.total_bytes);
-    runner.eval_point(&mut um, rid, i)
+    runner.eval_point(&mut um, rid, i, |_| {})
 }
 
-/// The per-point evaluation shared by the sequential series loop and the
-/// A2 per-point entry.
-struct SeriesRunner<'a> {
+/// The paper's loop nest, shared by the series loop ([`run_corun`]), the
+/// A2 per-point entry ([`run_corun_point`]) and the per-repetition
+/// diagnostics ([`crate::explain`]), so all three price the same reps.
+pub(crate) struct SeriesRunner<'a> {
+    machine: &'a MachineConfig,
     config: &'a CorunConfig,
     pricer: LegPricer,
     elem_size: u64,
@@ -220,9 +205,10 @@ struct SeriesRunner<'a> {
 }
 
 impl<'a> SeriesRunner<'a> {
-    fn new(machine: &MachineConfig, config: &'a CorunConfig) -> Self {
+    pub(crate) fn new(machine: &'a MachineConfig, config: &'a CorunConfig) -> Self {
         let elem_size = config.case.elem().size_bytes();
         SeriesRunner {
+            machine,
             config,
             pricer: LegPricer::new(machine, config.cpu_threads),
             elem_size,
@@ -231,8 +217,42 @@ impl<'a> SeriesRunner<'a> {
         }
     }
 
-    /// Evaluate point `i` (p = i / p_steps) against `rid` in `um`.
-    fn eval_point(&self, um: &mut UnifiedMemory, rid: RegionId, i: u32) -> Result<CorunPoint> {
+    /// Run the `p` loop from point 0 through point `last` in order, with
+    /// the configured allocation site, and return those points. Each
+    /// repetition of point `i` is also handed to `observe(i, ..)`.
+    pub(crate) fn run_to(
+        &self,
+        last: u32,
+        mut observe: impl FnMut(u32, RepTrace),
+    ) -> Result<Vec<CorunPoint>> {
+        let mut um = UnifiedMemory::new(self.machine);
+        let mut rid: Option<RegionId> = None;
+        if self.config.alloc == AllocSite::A1 {
+            rid = Some(alloc_and_init(&mut um, self.total_bytes));
+        }
+        let mut points = Vec::with_capacity(last as usize + 1);
+        for i in 0..=last {
+            if self.config.alloc == AllocSite::A2 {
+                if let Some(old) = rid.take() {
+                    um.free(old);
+                }
+                rid = Some(alloc_and_init(&mut um, self.total_bytes));
+            }
+            let rid = rid.expect("region allocated");
+            points.push(self.eval_point(&mut um, rid, i, |rep| observe(i, rep))?);
+        }
+        Ok(points)
+    }
+
+    /// Evaluate point `i` (p = i / p_steps) against `rid` in `um`,
+    /// handing each repetition to `observe` as it completes.
+    fn eval_point(
+        &self,
+        um: &mut UnifiedMemory,
+        rid: RegionId,
+        i: u32,
+        mut observe: impl FnMut(RepTrace),
+    ) -> Result<CorunPoint> {
         let config = self.config;
         let case = config.case;
         let p = i as f64 / config.p_steps as f64;
@@ -289,7 +309,8 @@ impl<'a> SeriesRunner<'a> {
         let mut cpu_remote = Bytes::ZERO;
         let mut gpu_remote = Bytes::ZERO;
 
-        for _ in 0..config.n_reps {
+        for rep in 0..config.n_reps {
+            let rep_migrated_before = um.stats().migrated_to_gpu;
             let cpu_leg = match cpu_ref {
                 Some(ref cb) => self.pricer.cpu_leg(um, rid, Bytes::ZERO, len_h_bytes, cb),
                 None => crate::pricing::PricedLeg::idle(),
@@ -302,9 +323,22 @@ impl<'a> SeriesRunner<'a> {
             gpu_remote += gpu_leg.outcome.remote;
             // `nowait` + implicit barrier: the legs overlap; optionally a
             // shared-LPDDR pipeline binds them together.
-            total += self
+            let t_rep = self
                 .pricer
                 .rep_time(&cpu_leg, &gpu_leg, config.lpddr_contention);
+            total += t_rep;
+            observe(RepTrace {
+                rep,
+                t_cpu: cpu_leg.time,
+                t_gpu: gpu_leg.time,
+                t_rep,
+                cpu_remote: cpu_leg.outcome.remote,
+                gpu_remote: gpu_leg.outcome.remote,
+                migrated: um
+                    .stats()
+                    .migrated_to_gpu
+                    .saturating_sub(rep_migrated_before),
+            });
         }
 
         Ok(CorunPoint {

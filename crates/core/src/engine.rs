@@ -15,9 +15,9 @@
 //!    DAG of cacheable [`WorkItem`]s, consulting both caches *without
 //!    executing anything* so the plan predicts its own hit rate (see
 //!    [`crate::plan`]).
-//! 3. The [`Executor`] walks the plan's stages on
-//!    the worker pool with per-stage timing, then assembles typed
-//!    responses from the now-warm caches (see [`crate::exec`]).
+//! 3. The [`Executor`] walks the plan's stages, fanning each across
+//!    threads with per-stage timing, then assembles typed responses from
+//!    the now-warm caches (see [`crate::exec`]).
 //!
 //! [`Engine::run`] ties them together and memoizes whole responses by
 //! [`Request::id`](crate::request::Request::id) — a repeated identical
@@ -31,12 +31,13 @@
 //!   constraint — one locked map per layer, with one exact-key single
 //!   flight in front of evaluation, so identical points are evaluated
 //!   once per process no matter which request asks;
-//! * a **parallel fan driver** that spreads a stage's items across the
-//!   [`ghr_parallel::ThreadPool`] and reassembles results in deterministic
-//!   index order — tables are bit-identical to the serial path at any
-//!   thread count. A workload's teams sweep (kernel points only) runs on
-//!   the caller's thread, where its seven points cost less than a
-//!   hand-off;
+//! * a **parallel fan driver** that spreads a stage's items over
+//!   [`ghr_parallel::parallel_map`] (scoped threads, the caller among
+//!   them) and reassembles results in deterministic index order — tables
+//!   are bit-identical to the serial path at any thread count. Two kinds
+//!   of stage run on the caller's thread alone, where a hand-off costs
+//!   more than the work: a workload's teams sweep (seven kernel points)
+//!   and a stage the plan predicted to be all cache hits;
 //! * a **checksum memo**: the functional checksum of a workload answer
 //!   runs the real SIMD kernels once per (kind, case, backend) per
 //!   engine, in memory only (see `Engine::checksum`).
@@ -83,7 +84,7 @@ use crate::whatif::{self, RuntimeScenario, WhatIfRow, WhatIfStudy};
 use ghr_gpusim::GpuModel;
 use ghr_machine::MachineConfig;
 use ghr_omp::{OmpRuntime, TargetRegion};
-use ghr_parallel::{Backend, ThreadPool};
+use ghr_parallel::Backend;
 use ghr_types::{Bandwidth, DType, GhrError, KernelDescriptor, Result, StageTiming, WorkloadKind};
 
 /// FNV-1a, used for the machine fingerprint and for the structured-key
@@ -347,7 +348,7 @@ impl<K: Eq + Hash, V: Clone, S: BuildHasher + Default> CacheMap<K, V, S> {
 /// Counters the `--stats` flag reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStats {
-    /// Worker threads the engine fans grids across (1 = serial).
+    /// Threads a fan stage may use, the caller included (1 = serial).
     pub threads: usize,
     /// Requests run through the pipeline ([`Engine::run`]).
     pub requests: u64,
@@ -434,11 +435,11 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The evaluation engine: one machine, one worker pool, one result cache.
+/// The evaluation engine: one machine, one thread budget, one result cache.
 ///
 /// Construct it once per process (or per `ghr` invocation) and route every
 /// request through it; repeated and overlapping experiments then share
-/// both the pool and the memoized points. [`Engine::run`] is the pipeline
+/// the memoized points. [`Engine::run`] is the pipeline
 /// front door; the named methods ([`Engine::table1`], [`Engine::sweep`],
 /// …) are typed shorthands that build the equivalent request.
 pub struct Engine {
@@ -446,7 +447,6 @@ pub struct Engine {
     rt: OmpRuntime,
     fingerprint: u64,
     threads: usize,
-    pool: Option<ThreadPool>,
     store: Option<PersistentStore>,
     points: CacheMap<WorkItem, f64>,
     series: CacheMap<CorunConfig, Arc<CorunSeries>>,
@@ -494,13 +494,11 @@ impl Engine {
         };
         let fingerprint = machine_fingerprint(&machine);
         let rt = OmpRuntime::new(machine.clone());
-        let pool = (threads > 1).then(|| ThreadPool::new(threads));
         Engine {
             machine,
             rt,
             fingerprint,
             threads,
-            pool,
             store: None,
             points: CacheMap::new(),
             series: CacheMap::new(),
@@ -560,7 +558,7 @@ impl Engine {
         &self.rt
     }
 
-    /// Worker threads grids fan across (1 = serial).
+    /// Threads a fan stage may use, the caller included (1 = serial).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -809,13 +807,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Fan a stage's items across the pool (see [`Engine::map_grid`]).
-    /// A stage of workload kernel points only (a `dot|scan|gemv` teams
-    /// sweep: seven analytic points of about 2 µs each) runs on the
-    /// caller's thread, where it costs less than handing the points to
-    /// the pool.
-    pub(crate) fn map_items(&self, items: &[WorkItem]) -> Result<()> {
-        if items.iter().all(|i| matches!(i, WorkItem::Kernel { .. })) {
+    /// Fan a stage's items across threads (see [`Engine::map_grid`]).
+    /// Two kinds of stage run on the caller's thread, where they cost
+    /// less than spawning a helper: one of workload kernel points only (a
+    /// `dot|scan|gemv` teams sweep: seven analytic points of about 2 µs
+    /// each), and one whose `predicted_hits` covers every item (a warm
+    /// start's stages are all store hits).
+    pub(crate) fn map_items(&self, items: &[WorkItem], predicted_hits: usize) -> Result<()> {
+        if predicted_hits >= items.len()
+            || items.iter().all(|i| matches!(i, WorkItem::Kernel { .. }))
+        {
             return items.iter().try_for_each(|i| self.eval_item(i));
         }
         self.map_grid(items, |item| self.eval_item(item))?
@@ -823,28 +824,25 @@ impl Engine {
             .collect()
     }
 
-    /// Fan `f` over `items` and return results in item order. Uses the
-    /// pool when one exists and the grid has more than one point; the
-    /// reassembled vector is identical to the serial map either way. A
-    /// worker that panics surfaces as [`GhrError::Internal`] (after every
-    /// other job has drained) instead of aborting the whole study.
+    /// Fan `f` over `items` on up to [`Engine::threads`] threads, the
+    /// caller included, and return results in item order: the vector is
+    /// identical to the serial map at any thread count. An item that
+    /// panics surfaces as [`GhrError::Internal`] (after every other item
+    /// has run) instead of aborting the whole study.
     fn map_grid<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        match &self.pool {
-            Some(pool) if items.len() > 1 => pool.try_parallel_map(items, f).map_err(|payload| {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                GhrError::internal(format!("worker panicked: {msg}"))
-            }),
-            _ => Ok(items.iter().map(f).collect()),
-        }
+        ghr_parallel::parallel_map(items, self.threads, f).map_err(|payload| {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            GhrError::internal(format!("worker panicked: {msg}"))
+        })
     }
 
     /// Look up an in-process miss in the persistent store; decode with
@@ -1371,7 +1369,7 @@ impl Engine {
     // Typed shorthands (each builds and runs the equivalent request)
     // -----------------------------------------------------------------
 
-    /// Run a Fig. 1 sweep over the full grid, fanned across the pool.
+    /// Run a Fig. 1 sweep over the full grid, fanned across threads.
     /// Point order and values are bit-identical to [`GpuSweep::run`].
     pub fn sweep(&self, sweep: &GpuSweep) -> Result<SweepResult> {
         Ok(self
@@ -1401,8 +1399,8 @@ impl Engine {
         self.sweep_mode(sweep, SweepMode::Refined)
     }
 
-    /// Regenerate Table 1 with the eight kernel timings fanned across the
-    /// pool (memoized equivalent of [`crate::table1::table1`]).
+    /// Regenerate Table 1 with the eight kernel timings fanned across
+    /// threads (memoized equivalent of [`crate::table1::table1`]).
     pub fn table1(&self) -> Result<Table1> {
         Ok(self.run(&Request::Table1)?.table1()?.clone())
     }
@@ -1480,7 +1478,7 @@ impl Engine {
     }
 
     /// The what-if study (runtime-side recovery of the baseline deficit),
-    /// its 20 points fanned across the pool — the parallel, memoized
+    /// its 20 points fanned across threads — the parallel, memoized
     /// equivalent of [`crate::whatif::whatif_study`].
     pub fn whatif(&self) -> Result<WhatIfStudy> {
         Ok(self.run(&Request::WhatIf)?.whatif()?.clone())
@@ -1516,6 +1514,26 @@ mod tests {
     fn engine_with_zero_threads_resolves_a_default() {
         let e = engine(0);
         assert!(e.threads() >= 1);
+    }
+
+    #[test]
+    fn a_panicking_fan_item_becomes_an_internal_error() {
+        let items: Vec<u32> = (0..8).collect();
+        for threads in [1, 2, 8] {
+            let err = engine(threads)
+                .map_grid(&items, |&i| {
+                    if i == 5 {
+                        panic!("item {i} failed");
+                    }
+                    i
+                })
+                .unwrap_err();
+            let want = "worker panicked: item 5 failed";
+            let internal = matches!(&err, GhrError::Internal { detail } if detail == want);
+            assert!(internal, "threads={threads}: {err:?}");
+            let ok = engine(threads).map_grid(&items, |&i| i * 2).unwrap();
+            assert_eq!(ok, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! The executor: walk a lowered [`Plan`] on the engine's worker pool.
+//! The executor: walk a lowered [`Plan`] against the engine's caches.
 //!
-//! Stages run in plan order — a fan stage spreads its work items across
-//! the pool (`Engine::map_items`); an adaptive refine stage runs the
-//! coarse-to-fine binary search serially on the caller's thread (its
-//! probes are chosen from the coarse stage's now-cached results). Each
-//! stage is timed and its work accounted (items, fresh evaluations,
-//! wall-clock milliseconds) into the engine's stage log, which
-//! `--stats-json` reports.
+//! Stages run in plan order — a fan stage spreads its work items over up
+//! to the engine's thread count, the caller included
+//! (`Engine::map_items`), or runs them on the caller's thread alone when
+//! the plan predicted every item to be a cache hit; an adaptive refine
+//! stage runs the coarse-to-fine binary search serially on the caller's
+//! thread (its probes are chosen from the coarse stage's now-cached
+//! results). Each stage is timed and its work accounted (items, fresh
+//! evaluations, wall-clock milliseconds) into the engine's stage log,
+//! which `--stats-json` reports.
 //!
 //! After the last stage the executor *assembles* one typed [`Response`]
 //! per request, re-reading every point through the same memoized
@@ -32,7 +34,7 @@ pub struct Executor<'e> {
 }
 
 impl<'e> Executor<'e> {
-    /// An executor over the engine's pool and caches.
+    /// An executor over the engine's caches and thread budget.
     pub fn new(engine: &'e Engine) -> Self {
         Executor { engine }
     }
@@ -50,7 +52,7 @@ impl<'e> Executor<'e> {
             match &stage.kind {
                 StageKind::Fan(items) => {
                     if !items.is_empty() {
-                        self.engine.map_items(items)?;
+                        self.engine.map_items(items, stage.predicted_hits)?;
                     }
                 }
                 StageKind::RefineSweep(sweep) => {

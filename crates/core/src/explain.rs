@@ -7,11 +7,8 @@
 //! to a chosen `p` (so placement history is faithful) and then records a
 //! per-repetition trace of leg times and byte classes at that point.
 
-use crate::corun::{AllocSite, CorunConfig};
-use crate::pricing::{LegPricer, PricedLeg};
-use crate::reduction::ReductionSpec;
+use crate::corun::{CorunConfig, SeriesRunner};
 use crate::report::Table;
-use ghr_mem::{RegionId, UnifiedMemory};
 use ghr_types::{Bytes, GhrError, Result, SimTime};
 
 /// One repetition's trace at the examined `p`.
@@ -61,8 +58,10 @@ pub struct PointExplanation {
     pub reps: Vec<RepTrace>,
 }
 
-/// Replay a co-execution series up to grid index `p_index` and trace every
-/// repetition at that point.
+/// Replay a co-execution series up to grid index `p_index` through the
+/// co-run series loop (so placement history, advice included, is the
+/// one [`crate::corun::run_corun`] prices) and trace every repetition at
+/// that point.
 pub fn explain_corun_point(
     machine: &ghr_machine::MachineConfig,
     config: &CorunConfig,
@@ -74,87 +73,17 @@ pub fn explain_corun_point(
             format!("must be <= p_steps ({})", config.p_steps),
         ));
     }
-    let case = config.case;
-    let elem_size = case.elem().size_bytes();
-    let total_bytes = Bytes(config.m * elem_size);
-    let region = ReductionSpec {
-        case,
-        kind: config.kind,
-    }
-    .region();
-    let pricer = LegPricer::new(machine, config.cpu_threads);
-    let mut um = UnifiedMemory::new(machine);
-    let mut rid: Option<RegionId> = None;
-    if config.alloc == AllocSite::A1 {
-        rid = Some(alloc_init(&mut um, total_bytes));
-    }
-
     let mut reps = Vec::new();
-    for i in 0..=p_index {
-        if config.alloc == AllocSite::A2 {
-            if let Some(old) = rid.take() {
-                um.free(old);
-            }
-            rid = Some(alloc_init(&mut um, total_bytes));
+    SeriesRunner::new(machine, config).run_to(p_index, |i, rep| {
+        if i == p_index {
+            reps.push(rep);
         }
-        let rid = rid.expect("allocated");
-        let len_h = config.m * i as u64 / config.p_steps as u64;
-        let len_d = config.m - len_h;
-        let len_h_bytes = Bytes(len_h * elem_size);
-        let len_d_bytes = Bytes(len_d * elem_size);
-        let gpu_base = if len_d > 0 {
-            Some(pricer.gpu_model().reduce(&region.resolve_launch(
-                len_d,
-                case.elem(),
-                case.acc(),
-            )?)?)
-        } else {
-            None
-        };
-        let cpu_base = if len_h > 0 {
-            Some(
-                pricer
-                    .cpu_model()
-                    .reduce_local(len_h, case.elem(), config.cpu_threads),
-            )
-        } else {
-            None
-        };
-        for rep in 0..config.n_reps {
-            let migrated_before = um.stats().migrated_to_gpu;
-            let cpu_leg = match cpu_base {
-                Some(ref cb) => pricer.cpu_leg(&mut um, rid, Bytes::ZERO, len_h_bytes, cb),
-                None => PricedLeg::idle(),
-            };
-            let gpu_leg = match gpu_base {
-                Some(ref gb) => pricer.gpu_leg(&mut um, rid, len_h_bytes, len_d_bytes, gb),
-                None => PricedLeg::idle(),
-            };
-            if i == p_index {
-                reps.push(RepTrace {
-                    rep,
-                    t_cpu: cpu_leg.time,
-                    t_gpu: gpu_leg.time,
-                    t_rep: pricer.rep_time(&cpu_leg, &gpu_leg, config.lpddr_contention),
-                    cpu_remote: cpu_leg.outcome.remote,
-                    gpu_remote: gpu_leg.outcome.remote,
-                    migrated: um.stats().migrated_to_gpu.saturating_sub(migrated_before),
-                });
-            }
-        }
-    }
-
+    })?;
     Ok(PointExplanation {
         config: *config,
         p: p_index as f64 / config.p_steps as f64,
         reps,
     })
-}
-
-fn alloc_init(um: &mut UnifiedMemory, bytes: Bytes) -> RegionId {
-    let rid = um.alloc(bytes);
-    um.cpu_access(rid, Bytes::ZERO, bytes);
-    rid
 }
 
 impl PointExplanation {
@@ -209,6 +138,7 @@ impl PointExplanation {
 mod tests {
     use super::*;
     use crate::case::Case;
+    use crate::corun::{run_corun, AllocSite};
     use crate::reduction::KernelKind;
     use ghr_machine::MachineConfig;
 
@@ -269,5 +199,39 @@ mod tests {
         assert_eq!(t.len(), 4); // 3 head + 1 tail
         let md = t.to_markdown();
         assert!(md.contains("bound by"));
+    }
+
+    #[test]
+    fn replayed_reps_add_up_to_the_series_point() {
+        let machine = MachineConfig::gh200();
+        for alloc in [AllocSite::A1, AllocSite::A2] {
+            for advised in [false, true] {
+                let cfg = if advised {
+                    config(alloc).with_advice()
+                } else {
+                    config(alloc)
+                };
+                let series = run_corun(&machine, &cfg).unwrap();
+                for p in [0, 3, 10] {
+                    let e = explain_corun_point(&machine, &cfg, p).unwrap();
+                    let point = &series.points[p as usize];
+                    let at = format!("{alloc} advised={advised} p={p}");
+                    assert_eq!(e.reps.len(), cfg.n_reps as usize, "{at}");
+                    let mut total = SimTime::ZERO;
+                    let (mut cpu_remote, mut gpu_remote, mut migrated) =
+                        (Bytes::ZERO, Bytes::ZERO, Bytes::ZERO);
+                    for r in &e.reps {
+                        total += r.t_rep;
+                        cpu_remote += r.cpu_remote;
+                        gpu_remote += r.gpu_remote;
+                        migrated += r.migrated;
+                    }
+                    assert_eq!(total.0.to_bits(), point.total.0.to_bits(), "{at}");
+                    assert_eq!(cpu_remote, point.cpu_remote, "{at}");
+                    assert_eq!(gpu_remote, point.gpu_remote, "{at}");
+                    assert_eq!(migrated, point.migrated_to_gpu, "{at}");
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! | [`corun`] | Figs. 2a/2b/3/4a/4b/5 — CPU+GPU co-execution in UM mode |
 //! | [`request`] | declarative experiment requests and typed responses |
 //! | [`plan`] | lowering a request into a deduplicated DAG of work items |
-//! | [`exec`] | walking a plan on the pool with per-stage accounting |
+//! | [`exec`] | walking a plan, stage by stage, with per-stage accounting |
 //! | [`engine`] | parallel, memoized evaluation of every grid above |
 //! | [`verify`] | result verification against the serial reference |
 //! | [`report`] | markdown/CSV rendering shared by the drivers and the CLI |

@@ -2,8 +2,8 @@
 //! of cacheable work items.
 //!
 //! A [`Plan`] is a sequence of [`Stage`]s. Most stages are *fans* — a flat
-//! list of independent [`WorkItem`]s the executor spreads across the
-//! worker pool — and stages earlier in the list must complete before later
+//! list of independent [`WorkItem`]s the executor spreads across
+//! threads — and stages earlier in the list must complete before later
 //! ones run (the refined sweep's binary search needs its coarse pass). A
 //! work item that appears twice (inside one request, or across the
 //! requests of a combined plan) is planned once; the duplicate is counted
@@ -28,7 +28,7 @@ use ghr_omp::TargetRegion;
 use ghr_types::{PlanSummary, RequestId, Result, StagePlan, WorkloadKind};
 
 /// One independently cacheable evaluation — the unit the executor fans
-/// across the pool and the key both result caches (in-process and
+/// across threads and the key both result caches (in-process and
 /// persistent) are addressed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkItem {
@@ -113,7 +113,7 @@ impl WorkItem {
 /// How a stage's work is chosen.
 #[derive(Debug, Clone)]
 pub enum StageKind {
-    /// Independent items, fanned across the pool.
+    /// Independent items, fanned across threads.
     Fan(Vec<WorkItem>),
     /// The refined sweep's adaptive follow-up: a serial binary search per
     /// in-band teams column, whose probes are chosen from the coarse

@@ -26,7 +26,7 @@ impl<A> TargetOutcome<A> {
 /// Outcome of a host `parallel for simd reduction` region.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostOutcome<A> {
-    /// The reduction result, really computed by the thread-pool kernels.
+    /// The reduction result, really computed by the fork-join kernels.
     pub value: A,
     /// The timing breakdown from the CPU model.
     pub breakdown: CpuReduceBreakdown,

@@ -2,14 +2,11 @@
 //!
 //! The *real* (not simulated) parallel substrate of the reproduction:
 //!
-//! * [`pool::ThreadPool`] — a persistent worker pool built on
-//!   `std::sync` primitives (zero external dependencies), running both
-//!   fire-and-forget `'static` jobs ([`ThreadPool::submit`]) and scoped
-//!   fork-join work over borrowed data ([`ThreadPool::scope`],
-//!   [`ThreadPool::parallel_map`]);
-//! * [`scope`](scope::parallel_for) — scoped fork-join helpers built on
-//!   `std::thread::scope`, used to run borrowed-data loops the way an
-//!   OpenMP `parallel for` would;
+//! * [`scope`] — fork-join over borrowed data on `std::thread::scope`,
+//!   the one threading mechanism here: [`parallel_map_chunks`] runs a
+//!   statically chunked loop the way an OpenMP `parallel for` would, and
+//!   [`parallel_map`] hands out uneven items one at a time (the
+//!   experiment engine fans its plan stages with it);
 //! * [`kernels`] — sequential, unrolled (the paper's "V elements per
 //!   iteration"), Kahan and pairwise sum-reduction kernels;
 //! * [`simd`] — vectorized versions of the unrolled kernel (x86_64
@@ -32,7 +29,6 @@
 
 pub mod kernels;
 pub mod microbench;
-pub mod pool;
 pub mod reduce;
 pub mod scope;
 pub mod simd;
@@ -43,12 +39,11 @@ pub use kernels::{
     try_sum_unrolled, validate_v,
 };
 pub use microbench::{measure, measure_pair, BenchSpec, Pair, Sample};
-pub use pool::{Scope, ThreadPool};
 pub use reduce::{
     parallel_max, parallel_min, parallel_reduce_with, parallel_sum, parallel_sum_unrolled,
     parallel_sum_unrolled_on, try_parallel_sum_unrolled, ChunkPolicy,
 };
-pub use scope::{parallel_for, parallel_map_chunks, split_evenly};
+pub use scope::{parallel_map, parallel_map_chunks, split_evenly};
 pub use simd::Backend;
 pub use workloads::{
     dot_sequential, dot_unrolled, dot_unrolled_with_backend, gemv, gemv_with_backend,

@@ -48,7 +48,7 @@ pub struct BenchSpec {
     /// Unroll factor `V` (power of two in 1..=32).
     pub v: usize,
     /// Worker threads; 1 times the single-threaded kernel directly (no
-    /// pool, no fork-join overhead in the measurement).
+    /// fork-join overhead in the measurement).
     pub threads: usize,
     /// Elements per repetition.
     pub n: usize,

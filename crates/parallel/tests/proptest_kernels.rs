@@ -1,4 +1,4 @@
-//! Property tests of the real reduction kernels and the thread pool.
+//! Property tests of the real reduction kernels and the item fan.
 //!
 //! Each property runs over SplitMix64-seeded random cases: std-only and
 //! deterministic, so every `cargo test` exercises it offline.
@@ -6,12 +6,11 @@
 /// The properties, each over SplitMix64-seeded random cases.
 mod std_fallback {
     use ghr_parallel::{
-        parallel_max, parallel_min, parallel_sum, parallel_sum_unrolled, sum_kahan, sum_pairwise,
-        sum_sequential, sum_unrolled, ChunkPolicy, ThreadPool,
+        parallel_map, parallel_max, parallel_min, parallel_sum, parallel_sum_unrolled, sum_kahan,
+        sum_pairwise, sum_sequential, sum_unrolled, ChunkPolicy,
     };
     use ghr_types::SplitMix64;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const CASES: usize = 64;
 
@@ -79,21 +78,21 @@ mod std_fallback {
     }
 
     #[test]
-    fn pool_runs_each_job_once() {
+    fn parallel_map_maps_each_item_once_in_order() {
         let mut rng = SplitMix64::new(0x2a11_0004);
-        for _ in 0..16 {
-            let threads = 1 + rng.below(7) as usize;
-            let jobs = rng.below(200);
-            let pool = ThreadPool::new(threads);
-            let counter = Arc::new(AtomicU64::new(0));
-            for _ in 0..jobs {
-                let c = Arc::clone(&counter);
-                pool.submit(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            pool.wait();
-            assert_eq!(counter.load(Ordering::Relaxed), jobs);
+        for _ in 0..CASES {
+            let threads = 1 + rng.below(8) as usize;
+            let items: Vec<u64> = (0..rng.below(201)).map(|_| rng.next_u64()).collect();
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let idx: Vec<usize> = (0..items.len()).collect();
+            let out = parallel_map(&idx, threads, |&i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                items[i].rotate_left(17)
+            })
+            .unwrap();
+            assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            let expect: Vec<u64> = items.iter().map(|x| x.rotate_left(17)).collect();
+            assert_eq!(out, expect, "threads={threads} items={}", items.len());
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `ghr-core` lowers a declarative experiment request into a plan (a
 //! deduplicated DAG of cacheable work items) and then executes that plan
-//! on its worker pool. The *shapes* of those reports — stable request
+//! stage by stage. The *shapes* of those reports — stable request
 //! identifiers, per-stage predictions and per-stage timings — live here so
 //! the CLI, the serve loop and external tooling can consume them without
 //! depending on the experiment types themselves.

@@ -224,8 +224,8 @@ impl Stream {
         }
     }
 
-    /// Set the read timeout (the poll tick that lets serving sessions
-    /// observe shutdown between frames).
+    /// Set the read timeout: a deadline on each read from a peer that
+    /// may never answer (the router's reads from its workers).
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
@@ -234,13 +234,15 @@ impl Stream {
         }
     }
 
-    /// Half-close the write side, signalling EOF to the peer while the
-    /// read side keeps draining responses.
-    pub fn shutdown_write(&self) -> std::io::Result<()> {
+    /// Shut down one or both halves of the connection, for every handle
+    /// on it. `Write` signals EOF to the peer while responses still
+    /// drain; `Read` ends a read blocked on this side with EOF at once
+    /// (how a draining server ends its idle sessions).
+    pub fn shutdown(&self, how: std::net::Shutdown) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
         }
     }
 }
@@ -602,7 +604,7 @@ mod tests {
             });
             let mut client = endpoint.connect().unwrap();
             client.write_all(b"table1\n").unwrap();
-            client.shutdown_write().unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
             let mut got = Vec::new();
             client.read_to_end(&mut got).unwrap();
             assert_eq!(got, payload, "transport {endpoint} mangled the frame");

@@ -18,9 +18,13 @@
 #      2 s with no client, summed over its threads: it waits for
 #      connections instead of polling), hammer it with four background
 #      clients sending overlapping request ids, require warm duplicates
-#      to report evals=0 and byte-identical bodies, then stop the server
-#      with SIGTERM and require a clean drain (exit 0, socket file
-#      removed).
+#      to report evals=0 and byte-identical bodies. Then connect one
+#      client that sends nothing and stays connected: the server must
+#      still sleep (fewer than 20 voluntary context switches in 2 s: its
+#      session blocks in a read with no timeout), and SIGTERM must drain
+#      it within 2 s with that client connected (exit 0, socket file
+#      removed, the silent client reads EOF). The silent client is a
+#      python3 one-liner.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -154,25 +158,29 @@ while [ ! -S "$SOCK" ]; do
     sleep 0.05
 done
 
-# An idle server sleeps until a connection or a signal arrives. This
-# counts wakeups; it times nothing.
+# A server with nothing to do sleeps until a connection, a line or a
+# signal arrives: fewer than 20 voluntary context switches in 2 s,
+# summed over its threads. This counts wakeups; it times nothing.
 switches() {
     cat /proc/"$SRV"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'
 }
-if [ -d "/proc/$SRV/task" ]; then
-    echo "==> idle server: fewer than 20 voluntary context switches in 2 s"
+asleep() {
+    if [ ! -d "/proc/$SRV/task" ]; then
+        echo "==> $1: the wakeup check needs /proc; not run on this platform"
+        return
+    fi
+    echo "==> $1: fewer than 20 voluntary context switches in 2 s"
     before=$(switches)
     sleep 2
-    idle=$(( $(switches) - before ))
-    echo "idle server: $idle voluntary context switches in 2 s"
-    if [ "$idle" -ge 20 ]; then
-        echo "FAIL: an idle server with no client woke $idle times in 2 s" >&2
+    woke=$(( $(switches) - before ))
+    echo "$1: $woke voluntary context switches in 2 s"
+    if [ "$woke" -ge 20 ]; then
+        echo "FAIL: $1 woke $woke times in 2 s" >&2
         kill "$SRV"
         exit 1
     fi
-else
-    echo "==> idle wakeup check needs /proc; not run on this platform"
-fi
+}
+asleep "idle server"
 
 # Warm the response cache with one cold table1, then race four clients
 # whose batches all duplicate it (and race each other on whatif).
@@ -222,9 +230,46 @@ for i in 2 3 4; do
     fi
 done
 
-echo "==> SIGTERM drains the server cleanly"
+echo "==> one connected, silent client"
+python3 -c '
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+print("connected", flush=True)
+sys.exit(0 if s.recv(1) == b"" else 1)
+' "$SOCK" > "$WORK/silent.out" &
+SILENT=$!
+tries=0
+until grep -q connected "$WORK/silent.out" 2> /dev/null; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+        echo "FAIL: the silent client never connected" >&2
+        kill "$SRV"
+        exit 1
+    fi
+    sleep 0.05
+done
+# Let the server accept it, so its session is blocked reading.
+sleep 0.2
+asleep "server holding a silent client"
+
+echo "==> SIGTERM drains the server within 2 s, silent client still connected"
 kill -TERM "$SRV"
+tries=0
+while kill -0 "$SRV" 2> /dev/null; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 40 ]; then
+        echo "FAIL: the server did not drain within 2 s of SIGTERM" >&2
+        kill -KILL "$SRV"
+        exit 1
+    fi
+    sleep 0.05
+done
 wait "$SRV"
+if ! wait "$SILENT"; then
+    echo "FAIL: the silent client did not read EOF at the drain" >&2
+    exit 1
+fi
 if [ -S "$SOCK" ]; then
     echo "FAIL: socket file survived the drain" >&2
     exit 1

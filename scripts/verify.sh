@@ -33,6 +33,14 @@ cargo test -q -p ghr-core --test engine_concurrency
 echo "==> cargo test -q -p ghr-core --test cache_race"
 cargo test -q -p ghr-core --test cache_race
 
+# The engine's fan: item order and bit-identical output at 1 and 8
+# threads, and every item mapped exactly once.
+echo "==> cargo test -q -p ghr-core --test engine_determinism"
+cargo test -q -p ghr-core --test engine_determinism
+
+echo "==> cargo test -q -p ghr-parallel --test proptest_kernels"
+cargo test -q -p ghr-parallel --test proptest_kernels
+
 echo "==> cargo test -q -p ghr-cli --test serve_loop"
 cargo test -q -p ghr-cli --test serve_loop
 

@@ -32,7 +32,7 @@
 //! | [`mem`] | unified-memory page-placement simulator |
 //! | [`gpusim`] | GPU kernel timing model + functional executor |
 //! | [`cpusim`] | Grace CPU timing model |
-//! | [`parallel`] | real thread pool + reduction kernels |
+//! | [`parallel`] | scoped fork-join + real reduction kernels |
 //! | [`omp`] | OpenMP-offload programming model |
 //! | [`core`] | the paper's experiments (sweeps, Table 1, co-execution) and the parallel memoized [`core::engine`] |
 //!
